@@ -59,13 +59,16 @@ from .fans import (
     make_fan,
     validate_fan,
 )
+from .lattice import FourierMotzkinBudgetError
 from .models import BUILTIN_RECORDS, ModelRecord, propagate
 from .report import ParseError, parse, render
 
 MAX_QUOTIENT_N = 12
+MAX_LEMMA_N = 5
 
 MATH_ERRORS = (
     UnboundedPolyhedronError,
+    FourierMotzkinBudgetError,
     DegenerateError,
     RetriesExhaustedError,
     InvalidSplittingError,
@@ -251,8 +254,10 @@ def _cmd_appendix(args) -> tuple[list, int]:
 
 
 def _cmd_lemma_a2(args) -> tuple[list, int]:
-    if args.n not in (2, 3):
-        raise BadDimensionError("--n must be 2 or 3 for the extension suite")
+    if args.n < 2 or args.n > MAX_LEMMA_N:
+        raise BadDimensionError(
+            f"--n must be between 2 and {MAX_LEMMA_N} for the extension suite"
+        )
     report, quotient, refined = quotient_extension_check(
         args.n, args.bound, args.samples, args.seed
     )

@@ -3,22 +3,27 @@
 A toric divisor sum(a_i D_i) is carried as the ray-indexed value list of its
 support function, with the convention value(v_i) = -a_i.  Sections are
 counted exactly as the integer points of the polyhedron {u : <u, v_i> >=
-value(v_i)}; boundedness is decided first by exact recession-cone analysis
-and unbounded systems are a hard error, since an infinite count is
-meaningless.
+value(v_i)}, by integer projection: one Fourier-Motzkin chain eliminates the
+coordinates from the last down, decides boundedness and bounds every
+coordinate in terms of the earlier ones.  Unbounded systems are a hard
+error, since an infinite count is meaningless.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import ceil, floor
 
-from .fans import Fan, cone_contains, desingularize, is_toric_morphism, _fm_feasible
-from .lattice import FracVec, Vec, dot, mat_vec, rational_inverse, smith_normal_form
+from .fans import Fan, cone_contains, desingularize, is_toric_morphism
+from .lattice import (
+    FracVec,
+    Vec,
+    dot,
+    fm_projections,
+    mat_vec,
+    smith_normal_form,
+)
 
 
 class NotMorphismError(ValueError):
@@ -152,62 +157,56 @@ def sections_polyhedron(psi: SupportFunction) -> SectionsPolyhedron:
     )
 
 
-@lru_cache(maxsize=None)
-def _vertex_solvers(normals: tuple[Vec, ...], dim: int):
-    """Invertible dim-subsets of the constraint normals with their inverses."""
-    solvers = []
-    for subset in itertools.combinations(range(len(normals)), dim):
-        matrix = tuple(normals[i] for i in subset)
-        try:
-            inverse = rational_inverse(matrix)
-        except ValueError:
-            continue
-        solvers.append((subset, inverse))
-    return solvers
-
-
 def count_lattice_points(polyhedron: SectionsPolyhedron) -> LatticePointCount:
-    """Exact lattice-point count with the point list.
+    """Exact lattice-point count with the point list, by integer projection.
 
-    Boundedness first: the recession cone {u : <u, normal> >= 0} must be
-    trivial, decided by Fourier-Motzkin probes in each signed coordinate
-    direction.  Vertices are then enumerated from all dim-sized constraint
-    subsets and the integer bounding box of the vertex set is scanned.
+    Fourier-Motzkin elimination of u_{d-1}, ..., u_1 gives one system per
+    level k in u_0 ... u_k alone.  The polyhedron is bounded exactly when
+    every level k has rows bounding u_k from below and from above: the
+    eliminations combine rows by their coefficients only, so this decides
+    the recession cone {u : <u, normal> >= 0} from the normals, and an empty
+    system with a recession direction is still unbounded.  Unless some level
+    reads 0 >= positive, the points are then enumerated depth first: each
+    integer u_0 allowed by level 0 is substituted into level 1 to bound u_1,
+    and so on, so the points come out in lexicographic order.
     """
-    dim = polyhedron.dim
-    normals = tuple(normal for normal, _ in polyhedron.constraints)
-    rhs = tuple(r for _, r in polyhedron.constraints)
-    recession_rows = [normal + (0,) for normal in normals]
-    for axis in range(dim):
-        for sign in (1, -1):
-            probe = tuple(sign * int(axis == j) for j in range(dim)) + (1,)
-            if _fm_feasible(recession_rows + [probe], dim):
-                raise UnboundedPolyhedronError(
-                    f"recession direction exists along axis {axis}"
-                )
-    vertices: list[FracVec] = []
-    for subset, inverse in _vertex_solvers(normals, dim):
-        candidate = tuple(
-            sum(inverse[i][j] * Fraction(rhs[s]) for j, s in enumerate(subset))
-            for i in range(dim)
-        )
-        if all(
-            sum(n * x for n, x in zip(normal, candidate)) >= r
-            for normal, r in polyhedron.constraints
-        ):
-            vertices.append(candidate)
-    if not vertices:
-        return LatticePointCount(0, ())
-    lows = [ceil(min(v[j] for v in vertices)) for j in range(dim)]
-    highs = [floor(max(v[j] for v in vertices)) for j in range(dim)]
-    points = []
-    for candidate in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if all(
-            sum(n * x for n, x in zip(normal, candidate)) >= r
-            for normal, r in polyhedron.constraints
-        ):
-            points.append(candidate)
+    levels, empty = fm_projections(
+        (normal + (rhs,) for normal, rhs in polyhedron.constraints), polyhedron.dim
+    )
+    bounds = []
+    for k, rows in enumerate(levels):
+        lower = [(row[:k], row[k], row[-1]) for row in rows if row[k] > 0]
+        upper = [(row[:k], row[k], row[-1]) for row in rows if row[k] < 0]
+        if not lower or not upper:
+            raise UnboundedPolyhedronError(f"recession direction exists along axis {k}")
+        bounds.append((lower, upper))
+    points: list[Vec] = []
+    if not empty:
+        _enumerate_points(bounds, (), points)
     return LatticePointCount(len(points), tuple(points))
+
+
+def _enumerate_points(bounds, prefix: Vec, points: list[Vec]) -> None:
+    """Append the lattice points extending ``prefix``, in lexicographic order.
+
+    A level row c * u_k + <coeffs, prefix> >= rhs bounds u_k from below
+    when c > 0 and from above when c < 0; one integer division each.
+    """
+    lower, upper = bounds[len(prefix)]
+    lo = max(
+        -((sum(a * x for a, x in zip(coeffs, prefix)) - rhs) // c)
+        for coeffs, c, rhs in lower
+    )
+    hi = min(
+        (rhs - sum(a * x for a, x in zip(coeffs, prefix))) // c
+        for coeffs, c, rhs in upper
+    )
+    last = len(prefix) + 1 == len(bounds)
+    for value in range(lo, hi + 1):
+        if last:
+            points.append(prefix + (value,))
+        else:
+            _enumerate_points(bounds, prefix + (value,), points)
 
 
 def h0(psi: SupportFunction) -> int:

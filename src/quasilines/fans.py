@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .lattice import (
     FracVec,
@@ -20,6 +19,7 @@ from .lattice import (
     Matrix,
     NoSolutionError,
     Vec,
+    fm_feasible,
     invariant_factors,
     mat_vec,
     primitive,
@@ -143,55 +143,6 @@ def _rank(rays: tuple[Vec, ...]) -> int:
     return sum(1 for f in factors if f != 0)
 
 
-def _normalize_row(row: tuple[int, ...]):
-    """Reduce an inequality row (coeffs..., rhs); returns None (trivial),
-    "infeasible", or the reduced row."""
-    coeffs, rhs = row[:-1], row[-1]
-    if all(c == 0 for c in coeffs):
-        return "infeasible" if rhs > 0 else None
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in row)
-
-
-def _fm_feasible(rows: list[tuple[int, ...]], dim: int) -> bool:
-    """Fourier-Motzkin feasibility for the system coeffs . u >= rhs.
-
-    Rows are integer tuples (c_1, ..., c_dim, rhs).  Exact, no floating
-    point; feasibility over the reals equals feasibility over the rationals.
-    """
-    system: set[tuple[int, ...]] = set()
-    for row in rows:
-        reduced = _normalize_row(row)
-        if reduced == "infeasible":
-            return False
-        if reduced is not None:
-            system.add(reduced)
-    remaining = list(range(dim))
-    while remaining:
-        var = min(
-            remaining,
-            key=lambda k: sum(1 for r in system if r[k] > 0) * sum(1 for r in system if r[k] < 0),
-        )
-        remaining.remove(var)
-        pos = [r for r in system if r[var] > 0]
-        neg = [r for r in system if r[var] < 0]
-        keep = {r for r in system if r[var] == 0}
-        for p in pos:
-            for q in neg:
-                combo = tuple(-q[var] * p[k] + p[var] * q[k] for k in range(dim + 1))
-                reduced = _normalize_row(combo)
-                if reduced == "infeasible":
-                    return False
-                if reduced is not None:
-                    keep.add(reduced)
-        system = keep
-        if len(system) > 200000:
-            raise RuntimeError("Fourier-Motzkin blow-up; system too large")
-    return True
-
-
 def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
     """Exact face test for two simplicial cones of a candidate fan.
 
@@ -210,7 +161,7 @@ def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
     for i in shared:
         rows.append(fan.rays[i] + (0,))
         rows.append(tuple(-x for x in fan.rays[i]) + (0,))
-    return _fm_feasible(rows, fan.dim)
+    return fm_feasible(rows, fan.dim)
 
 
 def validate_fan(fan: Fan) -> ValidationReport:

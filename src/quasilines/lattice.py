@@ -5,7 +5,9 @@ rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 Everything here is immutable and every operation is pure, so values can be
 shared across threads without coordination.  No floating point is used
 anywhere: lattice indices, Cartier certificates and lattice-point counts are
-integer-exact claims and are computed as such.
+integer-exact claims and are computed as such.  The module also holds the one
+Fourier-Motzkin elimination routine, shared by fan validation and
+lattice-point counting.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ class InfiniteIndexError(ValueError):
 
 class NoSolutionError(ValueError):
     """The linear system A x = b is inconsistent."""
+
+
+# Largest number of rows one Fourier-Motzkin level may hold.
+FM_ROW_BUDGET = 200_000
+
+
+class FourierMotzkinBudgetError(Exception):
+    """Fourier-Motzkin elimination produced more rows than ``FM_ROW_BUDGET``."""
 
 
 def _dims(a: Matrix) -> tuple[int, int]:
@@ -283,3 +293,113 @@ def rational_inverse(a: Matrix | FracMatrix) -> FracMatrix:
                 factor = aug[i][c]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+Row = tuple[int, ...]
+
+
+def _normalize_row(row: Row):
+    """Reduce an inequality row (coeffs..., rhs); returns None (trivial),
+    "infeasible", or the reduced row."""
+    coeffs, rhs = row[:-1], row[-1]
+    if all(c == 0 for c in coeffs):
+        return "infeasible" if rhs > 0 else None
+    g = 0
+    for x in row:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in row)
+
+
+def _fm_system(rows) -> tuple[dict[int, Row], bool]:
+    """The distinct reduced rows keyed by their history, one bit per row,
+    and whether an input row reads 0 >= positive."""
+    distinct: set[Row] = set()
+    contradiction = False
+    for row in rows:
+        reduced = _normalize_row(row)
+        if reduced == "infeasible":
+            contradiction = True
+        elif reduced is not None:
+            distinct.add(reduced)
+    return {1 << i: row for i, row in enumerate(sorted(distinct))}, contradiction
+
+
+def _fm_eliminate(system: dict[int, Row], var: int, depth: int) -> tuple[dict[int, Row], bool]:
+    """One Fourier-Motzkin step: the rows of the projection along ``var``,
+    and whether a combination read 0 >= positive (no real solution).
+
+    ``system`` maps the history of each row, the bitmask of the input rows
+    it combines, to the row; ``depth`` counts the eliminations including
+    this one.  Every positive-``var`` row is combined with every negative
+    one so that ``var`` cancels, and rows free of ``var`` are kept.  Two
+    kinds of combination are skipped, because the other rows imply them
+    (Chernikov 1965): one of more than depth + 1 input rows, and a second
+    one with the same history.  Which pairs are combined depends on the
+    signs of the coefficients alone, never on the right-hand sides.  Raises
+    ``FourierMotzkinBudgetError`` when the result exceeds ``FM_ROW_BUDGET``.
+    """
+    pos = [(h, r) for h, r in system.items() if r[var] > 0]
+    neg = [(h, r) for h, r in system.items() if r[var] < 0]
+    keep = {h: r for h, r in system.items() if r[var] == 0}
+    contradiction = False
+    for hp, p in pos:
+        for hq, q in neg:
+            history = hp | hq
+            if history.bit_count() > depth + 1 or history in keep:
+                continue
+            a, b = -q[var], p[var]
+            reduced = _normalize_row(tuple(a * x + b * y for x, y in zip(p, q)))
+            if reduced == "infeasible":
+                contradiction = True
+            elif reduced is not None:
+                keep[history] = reduced
+    if len(keep) > FM_ROW_BUDGET:
+        raise FourierMotzkinBudgetError(
+            f"Fourier-Motzkin elimination reached {len(keep)} rows, "
+            f"over the budget FM_ROW_BUDGET = {FM_ROW_BUDGET}"
+        )
+    return keep, contradiction
+
+
+def fm_feasible(rows, dim: int) -> bool:
+    """Fourier-Motzkin feasibility for the system coeffs . u >= rhs.
+
+    Rows are integer tuples (c_1, ..., c_dim, rhs).  Exact, no floating
+    point; feasibility over the reals equals feasibility over the rationals.
+    Each step eliminates the variable that generates the fewest rows.
+    """
+    system, contradiction = _fm_system(rows)
+    remaining = list(range(dim))
+    depth = 0
+    while remaining and not contradiction:
+        var = min(
+            remaining,
+            key=lambda k: sum(1 for r in system.values() if r[k] > 0)
+            * sum(1 for r in system.values() if r[k] < 0),
+        )
+        remaining.remove(var)
+        depth += 1
+        system, contradiction = _fm_eliminate(system, var, depth)
+    return not contradiction
+
+
+def fm_projections(rows, dim: int) -> tuple[list[list[Row]], bool]:
+    """The projection chain of the system coeffs . u >= rhs.
+
+    Eliminates u_{dim-1}, ..., u_1 in turn.  Entry k of the returned list
+    holds reduced rows that describe the projection onto u_0 ... u_k; rows
+    keep their full length, zero past position k.  The flag reports whether
+    some level read 0 >= positive, so that the system has no real solution.
+    Elimination goes on past such a level, and which rows are combined
+    depends on the coefficients alone, so the coefficient rows of every
+    level also describe the projection of the recession cone
+    {u : coeffs . u >= 0}.
+    """
+    system, empty = _fm_system(rows)
+    levels = [list(system.values())]
+    for depth, var in enumerate(range(dim - 1, 0, -1), start=1):
+        system, contradiction = _fm_eliminate(system, var, depth)
+        empty = empty or contradiction
+        levels.append(list(system.values()))
+    levels.reverse()
+    return levels, empty

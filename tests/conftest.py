@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from quasilines.divisors import SectionsPolyhedron
 from quasilines.fans import find_containing_cone
+from quasilines.lattice import fm_feasible
 
 
 def random_bounded_system(rng, dim):
@@ -64,3 +65,20 @@ def brute_force_count(constraints, lows, highs):
             count += 1
             points.append(candidate)
     return count, points
+
+
+def recession_probe_axis(polyhedron):
+    """First axis along which the recession cone {u : <u, normal> >= 0} has
+    a direction, or None when it is trivial.
+
+    Independent of the projection chain: one Fourier-Motzkin feasibility
+    probe per signed coordinate direction, u_axis >= 1 or -u_axis >= 1.
+    """
+    dim = polyhedron.dim
+    recession_rows = [normal + (0,) for normal, _ in polyhedron.constraints]
+    for axis in range(dim):
+        for sign in (1, -1):
+            probe = tuple(sign * int(axis == j) for j in range(dim)) + (1,)
+            if fm_feasible(recession_rows + [probe], dim):
+                return axis
+    return None

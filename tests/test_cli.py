@@ -1,5 +1,8 @@
 """End-to-end tests for the command line front end and its file formats."""
 
+import pytest
+
+from quasilines import lattice
 from quasilines.cli import main, run
 from quasilines.report import parse
 
@@ -66,6 +69,19 @@ class TestLemmaA2:
         _, _, first = structured(["lemma-a2", "--n", "2", "--samples", "10", "--seed", "7"])
         _, _, second = structured(["lemma-a2", "--n", "2", "--samples", "10", "--seed", "7"])
         assert first == second
+
+    def test_n4_run(self):
+        code, doc, _ = structured(["lemma-a2", "--n", "4", "--samples", "5"])
+        assert code == 0
+        assert doc["samples-cartier"] == 5
+        assert doc["base-section-count"] == 1
+        assert doc["all-ok"] is True
+
+    def test_n6_is_usage_error(self):
+        code, doc, text = structured(["lemma-a2", "--n", "6"])
+        assert code == 1
+        assert doc["error"] == "usage"
+        assert "between 2 and 5" in text
 
 
 class TestBundle:
@@ -239,6 +255,21 @@ class TestFan:
     def test_missing_file(self):
         code, text = run(["fan", "validate", "/nonexistent.txt", "--format", "structured"])
         assert code == 1
+
+
+class TestFourierMotzkinBudget:
+    @pytest.mark.parametrize("subop,extra", [
+        ("validate", []),
+        ("h0", ["--values", "0,0,-1"]),
+    ])
+    def test_exceeded_budget_exits_2(self, tmp_path, monkeypatch, subop, extra):
+        monkeypatch.setattr(lattice, "FM_ROW_BUDGET", 1)
+        fan_file = tmp_path / "p2.txt"
+        fan_file.write_text(P2_FAN_DOC)
+        code, doc, text = structured(["fan", subop, str(fan_file)] + extra)
+        assert code == 2
+        assert doc["error"] == "FourierMotzkinBudgetError"
+        assert "FM_ROW_BUDGET = 1\n" in text
 
 
 class TestMainAndOutput:

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_count, random_bounded_system
+from conftest import brute_force_count, random_bounded_system, recession_probe_axis
 from quasilines.divisors import (
     NotMorphismError,
     SectionsPolyhedron,
@@ -159,6 +161,66 @@ class TestCountLatticePoints:
                 dim, polyhedron.constraints + ((normal, rng.randint(-6, 2)),)
             )
             assert count_lattice_points(tightened).count <= result.count
+
+
+@st.composite
+def bounded_systems(draw):
+    """A box in dims 1-4 plus up to four random rows; returns the
+    polyhedron and the box, which is the brute-force scan region."""
+    dim = draw(st.integers(1, 4))
+    reach = 4 if dim < 4 else 2
+    lows = [draw(st.integers(-reach, 0)) for _ in range(dim)]
+    highs = [draw(st.integers(0, reach)) for _ in range(dim)]
+    constraints = []
+    for j in range(dim):
+        axis = tuple(int(k == j) for k in range(dim))
+        constraints.append((axis, lows[j]))
+        constraints.append((tuple(-x for x in axis), -highs[j]))
+    normals = st.tuples(*[st.integers(-4, 4)] * dim)
+    for normal in draw(st.lists(normals, max_size=4)):
+        constraints.append((normal, draw(st.integers(-8, 2))))
+    order = draw(st.permutations(range(len(constraints))))
+    polyhedron = SectionsPolyhedron(dim, tuple(constraints[i] for i in order))
+    return polyhedron, lows, highs
+
+
+@st.composite
+def arbitrary_systems(draw):
+    """Up to six random rows in dims 1-4, optionally with a contradictory
+    pair <u, c> >= r, <u, -c> >= 1 - r that empties the system."""
+    dim = draw(st.integers(1, 4))
+    normals = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = draw(st.lists(st.tuples(normals, st.integers(-6, 3)), max_size=6))
+    if draw(st.booleans()):
+        normal = draw(normals)
+        rhs = draw(st.integers(-3, 3))
+        rows += [(normal, rhs), (tuple(-x for x in normal), 1 - rhs)]
+    return SectionsPolyhedron(dim, tuple(rows))
+
+
+class TestProjectionCounterProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_systems())
+    def test_equals_brute_force_in_scan_order(self, case):
+        polyhedron, lows, highs = case
+        expected, expected_points = brute_force_count(polyhedron.constraints, lows, highs)
+        result = count_lattice_points(polyhedron)
+        assert result.count == expected
+        assert result.points == tuple(expected_points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_systems())
+    @example(SectionsPolyhedron(2, (((1, 0), 0), ((-1, 0), 1))))
+    @example(SectionsPolyhedron(1, (((0,), 1), ((1,), 0))))
+    @example(SectionsPolyhedron(3, ()))
+    def test_boundedness_matches_recession_probes(self, polyhedron):
+        axis = recession_probe_axis(polyhedron)
+        if axis is None:
+            count_lattice_points(polyhedron)
+        else:
+            with pytest.raises(UnboundedPolyhedronError) as caught:
+                count_lattice_points(polyhedron)
+            assert str(caught.value) == f"recession direction exists along axis {axis}"
 
 
 class TestH0:
