@@ -118,9 +118,7 @@ def elementary_transform(t: SplittingType) -> SplittingType:
     """General-position elementary transform: top exponent drops by one."""
     if len(t) < 2:
         raise ValueError("an elementary transform needs rank at least 2")
-    exponents = list(t.exponents)
-    exponents[-1] -= 1
-    return SplittingType(tuple(exponents))
+    return codim2_blowup(t)
 
 
 def point_blowup(t: SplittingType) -> SplittingType:

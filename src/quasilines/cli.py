@@ -22,6 +22,7 @@ from .bundles import (
     DivisorData,
     InapplicableReductionError,
     InvalidSplittingError,
+    NotAmpleError,
     SplittingType,
     elementary_transform,
     fibration_reduction,
@@ -72,6 +73,7 @@ MATH_ERRORS = (
     DegenerateError,
     RetriesExhaustedError,
     InvalidSplittingError,
+    NotAmpleError,
 )
 
 

@@ -15,14 +15,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fans import Fan, cone_contains, desingularize, is_toric_morphism
+from .fans import Fan, cone_contains, cone_kernel, desingularize, is_toric_morphism
 from .lattice import (
     FracVec,
     Vec,
     dot,
     fm_projections,
     mat_vec,
-    smith_normal_form,
+    solve_rational_linear,
+    transpose,
 )
 
 
@@ -90,26 +91,23 @@ class LatticePointCount:
 
 
 def _integral_cone_solution(rays: tuple[Vec, ...], rhs: tuple[int, ...]):
-    """Solve <m, ray_i> = rhs_i; return (integral m or None, rational m).
+    """Solve <m, ray_i> = rhs_i; return (m, None) when m is integral and
+    (None, m) with m rational otherwise.
 
-    Uses the Smith normal form, so underdetermined (lower-dimensional)
-    cones are handled the same way as full-dimensional ones.  Simplicial
-    generators make the system consistent by construction.
+    A full-dimensional cone with kernel (N, d) has the unique solution
+    N^T rhs / d, integral exactly when d divides every entry.  A
+    lower-dimensional cone takes the Smith-form particular solution.
+    Simplicial generators make the system consistent by construction.
     """
-    k = len(rays)
-    n = len(rays[0])
-    u, s, v = smith_normal_form(rays)
-    c = mat_vec(u, rhs)
-    y: list[Fraction] = [Fraction(0)] * n
-    for i in range(k):
-        if s[i][i] == 0:
-            raise ValueError("cone generators are linearly dependent")
-        y[i] = Fraction(c[i], s[i][i])
-    rational = tuple(
-        sum(Fraction(v[i][j]) * y[j] for j in range(n)) for i in range(n)
-    )
+    if len(rays) == len(rays[0]):
+        inv, d = cone_kernel(rays)
+        scaled = mat_vec(transpose(inv), rhs)
+        if all(x % d == 0 for x in scaled):
+            return tuple(x // d for x in scaled), None
+        return None, tuple(Fraction(x, d) for x in scaled)
+    rational = solve_rational_linear(rays, rhs).x
     if all(val.denominator == 1 for val in rational):
-        return tuple(int(val) for val in rational), rational
+        return tuple(int(val) for val in rational), None
     return None, rational
 
 
@@ -124,9 +122,9 @@ def cartier_certificate(psi: SupportFunction) -> CartierCertificate:
     for index, cone in enumerate(fan.max_cones):
         rays = tuple(fan.rays[i] for i in cone)
         rhs = tuple(psi.values[i] for i in cone)
-        integral, rational = _integral_cone_solution(rays, rhs)
+        integral, witness = _integral_cone_solution(rays, rhs)
         if integral is None:
-            return CartierCertificate(psi, None, index, rational)
+            return CartierCertificate(psi, None, index, witness)
         assert all(dot(integral, ray) == val for ray, val in zip(rays, rhs))
         duals.append(integral)
     return CartierCertificate(psi, tuple(duals), None, None)

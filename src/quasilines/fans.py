@@ -1,9 +1,11 @@
 """Simplicial fans: validation, multiplicity, subdivision, toric morphisms.
 
 Only simplicial fans are supported; every cone is stored as a sorted tuple of
-ray indices and membership questions reduce to exact rational solves.  The
-module also builds the fans of projective space and of its cyclic quotient of
-order n+1, together with the lattice inclusion realising the quotient map.
+ray indices.  Membership, Cartier and scoring questions on a full-dimensional
+cone read signs, or divisibility by d, off its integer kernel (N, d); smaller
+cones go through the Smith-form rational solve.  The module also builds the
+fans of projective space and of its cyclic quotient of order n+1, together
+with the lattice inclusion realising the quotient map.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .lattice import (
-    FracVec,
     InfiniteIndexError,
     Matrix,
     NoSolutionError,
@@ -68,31 +70,35 @@ def make_fan(dim: int, rays, cones) -> Fan:
     )
 
 
-@lru_cache(maxsize=None)
-def _cone_inverse(rays: tuple[Vec, ...]):
-    """Inverse of the column matrix of a full-dimensional simplicial cone."""
+@lru_cache(maxsize=1024)
+def cone_kernel(rays: tuple[Vec, ...]) -> tuple[Matrix, int]:
+    """Integer kernel (N, d) of a full-dimensional simplicial cone.
+
+    With the rays as columns, rays * N = d * I and d = |det| is the cone's
+    multiplicity, so N * p / d are the coordinates of p in the ray basis.
+    """
     return rational_inverse(transpose(rays))
 
 
-def cone_coordinates(fan: Fan, cone: Cone, point) -> FracVec | None:
-    """Coordinates of ``point`` in the ray basis of ``cone``, or None.
+def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
+    """Coordinates of ``point`` in the ray basis of ``cone`` times a positive
+    scalar, or None off the cone's linear span; callers read only signs.
 
-    Simplicial cones have linearly independent generators, so coordinates
-    are unique whenever the point lies in their linear span.
+    A full-dimensional cone gives exactly N * point from its kernel, which
+    at a lattice point lists the multiplicities of the cones that replace
+    one ray by the point (Cramer's rule).  A lower-dimensional cone gives
+    its unique rational solution times the lcm of the denominators.
     """
     rays = tuple(fan.rays[i] for i in cone)
     if len(cone) == fan.dim:
-        inv = _cone_inverse(rays)
-        return tuple(
-            sum(inv[i][j] * Fraction(point[j]) for j in range(fan.dim))
-            for i in range(fan.dim)
-        )
-    columns = transpose(rays)
+        inv, _ = cone_kernel(rays)
+        return mat_vec(inv, tuple(point))
     try:
-        solution = solve_rational_linear(columns, tuple(point))
+        solution = solve_rational_linear(transpose(rays), tuple(point))
     except NoSolutionError:
         return None
-    return solution.x
+    scale = lcm(*(c.denominator for c in solution.x))
+    return tuple(int(c * scale) for c in solution.x)
 
 
 def cone_contains(fan: Fan, cone: Cone, point) -> bool:
@@ -293,10 +299,11 @@ def desingularize(fan: Fan) -> Fan:
     """
     current = fan
     while True:
-        mults = {
-            cone: _general_multiplicity(tuple(current.rays[i] for i in cone))
-            for cone in current.max_cones
-        }
+        mults = {}
+        for cone in current.max_cones:
+            rays = tuple(current.rays[i] for i in cone)
+            full = len(cone) == current.dim
+            mults[cone] = cone_kernel(rays)[1] if full else _general_multiplicity(rays)
         worst = max(mults.values())
         if worst == 1:
             return current
@@ -310,6 +317,11 @@ def desingularize(fan: Fan) -> Fan:
             for cone in current.max_cones:
                 coords = cone_coordinates(current, cone, w)
                 if coords is None or any(c < 0 for c in coords):
+                    continue
+                if len(cone) == current.dim:
+                    # coords[pos] is the multiplicity of the child cone
+                    # that replaces ray pos by w.
+                    score = max(score, *coords)
                     continue
                 rays = tuple(current.rays[i] for i in cone)
                 for pos, coeff in enumerate(coords):

@@ -5,9 +5,10 @@ rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 Everything here is immutable and every operation is pure, so values can be
 shared across threads without coordination.  No floating point is used
 anywhere: lattice indices, Cartier certificates and lattice-point counts are
-integer-exact claims and are computed as such.  The module also holds the one
-Fourier-Motzkin elimination routine, shared by fan validation and
-lattice-point counting.
+integer-exact claims and are computed as such.  Inverses are fraction-free
+integer pairs and rational solves go through the Smith normal form.  The
+module also holds the one Fourier-Motzkin elimination routine, shared by fan
+validation and lattice-point counting.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import gcd
 Vec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
-FracMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 class ZeroVectorError(ValueError):
@@ -51,24 +51,9 @@ def _dims(a: Matrix) -> tuple[int, int]:
     return len(a), cols
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def transpose(a: Matrix) -> Matrix:
     rows, cols = _dims(a)
     return tuple(tuple(a[i][j] for i in range(rows)) for j in range(cols))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = _dims(a)
-    rb, cb = _dims(b)
-    if ca != rb:
-        raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb))
-        for i in range(ra)
-    )
 
 
 def mat_vec(a: Matrix, v: Vec) -> Vec:
@@ -238,61 +223,59 @@ class LinearSolution:
 
 
 def solve_rational_linear(a: Matrix, b: Vec) -> LinearSolution:
-    """Solve A x = b exactly over the rationals.
+    """Solve A x = b exactly over the rationals, through the Smith form.
 
-    Returns one solution (free variables set to zero) and a uniqueness flag.
-    Raises ``NoSolutionError`` when the system is inconsistent.
+    With U A V = S, the system reads S y = U b for y = V^-1 x: each y_i is
+    (U b)_i / s_i on a nonzero invariant factor s_i and zero on the others,
+    and x = V y.  Returns that solution and a uniqueness flag.  Raises
+    ``NoSolutionError`` when some (U b)_i is nonzero on a zero factor.
     """
     rows, cols = _dims(a)
     if len(b) != rows:
         raise ValueError("right-hand side length does not match the matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
+    u, s, v = smith_normal_form(a)
+    c = mat_vec(u, b)
+    y = [Fraction(0)] * cols
+    rank = 0
+    for i in range(rows):
+        factor = s[i][i] if i < cols else 0
+        if factor:
+            y[i] = Fraction(c[i], factor)
+            rank += 1
+        elif c[i]:
             raise NoSolutionError("inconsistent linear system")
-    x = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivot_cols):
-        x[c] = aug[row_idx][cols]
-    return LinearSolution(tuple(x), unique=(len(pivot_cols) == cols))
+    x = tuple(sum(v[i][j] * y[j] for j in range(cols)) for i in range(cols))
+    return LinearSolution(x, unique=(rank == cols))
 
 
-def rational_inverse(a: Matrix | FracMatrix) -> FracMatrix:
-    """Exact inverse of a square nonsingular matrix, over the rationals."""
-    rows, cols = _dims(a)  # type: ignore[arg-type]
+def rational_inverse(a: Matrix) -> tuple[Matrix, int]:
+    """The inverse of a square nonsingular integer matrix as (N, d).
+
+    N is an integer matrix and d = |det a| > 0 with a N = d I, so the
+    inverse is N / d.  Computed by fraction-free Gauss-Jordan elimination
+    (Bareiss 1968) on [a | I]: after the step on column k every entry is a
+    minor of order k + 1, so each division is exact.  Raises
+    ``ValueError("matrix is singular")`` when det a = 0.
+    """
+    rows, cols = _dims(a)
     if rows != cols:
         raise ValueError("inverse of a non-square matrix")
     n = rows
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+    m = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
+        m[k], m[pivot] = m[pivot], m[k]
+        pk, p = m[k], m[k][k]
         for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pk)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), abs(prev)
 
 
 Row = tuple[int, ...]

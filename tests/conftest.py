@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from quasilines.divisors import SectionsPolyhedron
 from quasilines.fans import find_containing_cone
-from quasilines.lattice import fm_feasible
+from quasilines.lattice import LinearSolution, NoSolutionError, fm_feasible
 
 
 def random_bounded_system(rng, dim):
@@ -82,3 +82,38 @@ def recession_probe_axis(polyhedron):
             if fm_feasible(recession_rows + [probe], dim):
                 return axis
     return None
+
+
+def gauss_jordan_solve(a, b):
+    """Reference solver for A x = b: Gauss-Jordan elimination over
+    ``Fraction``, free variables set to zero.
+
+    Independent of the integer kernel and of the Smith form; raises
+    ``NoSolutionError`` when the system is inconsistent.
+    """
+    rows, cols = len(a), len(a[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][cols] != 0:
+            raise NoSolutionError("inconsistent linear system")
+    x = [Fraction(0)] * cols
+    for row_idx, c in enumerate(pivot_cols):
+        x[c] = aug[row_idx][cols]
+    return LinearSolution(tuple(x), unique=(len(pivot_cols) == cols))

@@ -18,6 +18,19 @@ cones:
 - 0 2
 """
 
+# A fan in dimension 3 whose cone 0 1 is 2-dimensional, of multiplicity 2.
+LOWER_DIM_FAN_DOC = """\
+dim: 3
+rays:
+- 1 0 0
+- 1 2 0
+- 0 0 1
+- -1 -1 -1
+cones:
+- 0 1
+- 2 3
+"""
+
 
 def structured(argv):
     code, text = run(list(argv) + ["--format", "structured"])
@@ -95,6 +108,20 @@ class TestBundle:
         assert code == 0
         assert doc["steps"] == 3
         assert doc["trajectory"][-1] == "1,1"
+
+    def test_plan_not_ample_is_math_error(self):
+        code, doc, _ = structured(["bundle", "plan", "--type", "0,2"])
+        assert code == 2
+        assert doc["error"] == "NotAmpleError"
+
+    def test_rank_one_plan_and_elm(self):
+        code, doc, _ = structured(["bundle", "plan", "--type", "3"])
+        assert code == 0
+        assert doc["trajectory"] == [3, 2, 1]
+        code, doc, text = structured(["bundle", "elm", "--type", "3"])
+        assert code == 1
+        assert doc["error"] == "usage"
+        assert "rank at least 2" in text
 
     def test_self_int(self):
         code, doc, _ = structured(["bundle", "self-int", "--type", "1,2,3"])
@@ -255,6 +282,39 @@ class TestFan:
     def test_missing_file(self):
         code, text = run(["fan", "validate", "/nonexistent.txt", "--format", "structured"])
         assert code == 1
+
+
+class TestLowerDimensionalCones:
+    @pytest.mark.parametrize("subop,extra,expected", [
+        ("validate", [], (
+            "report: fan-validate\nseed: 0\ndim: 3\nray-count: 4\ncone-count: 2\n"
+            "valid: true\nviolations: none\n"
+        )),
+        ("desingularize", [], (
+            "report: fan-desingularize\nseed: 0\ndim: 3\nrays:\n- 1 0 0\n- 1 2 0\n"
+            "- 0 0 1\n- -1 -1 -1\n- 1 1 0\ncones:\n- 0 4\n- 1 4\n- 2 3\n"
+            "smooth: true\nadded-rays: 1\n"
+        )),
+        ("cartier", ["--values=0,1,0,0"], (
+            "report: fan-cartier\nseed: 0\nvalues: 0 1 0 0\ncartier: false\n"
+            "failing-cone: 0\nfailing-cone-rays: 0 1\nrational-solution: 0 1/2 0\n"
+        )),
+        ("cartier", ["--values=0,2,0,0"], (
+            "report: fan-cartier\nseed: 0\nvalues: 0 2 0 0\ncartier: true\n"
+            "cone-duals:\n- 0 1 0\n- 0 0 0\n"
+        )),
+        ("h0", ["--values=0,0,0,-1"], (
+            "report: fan-h0\nseed: 0\nvalues: 0 0 0 -1\nconstraints:\n- 1 0 0 0\n"
+            "- 1 2 0 0\n- 0 0 1 0\n- -1 -1 -1 -1\nlattice-points:\n- 0 0 0\n"
+            "- 0 0 1\n- 0 1 0\n- 1 0 0\n- 2 -1 0\nsection-count: 5\nh0: 5\n"
+        )),
+    ])
+    def test_report_bytes(self, tmp_path, subop, extra, expected):
+        fan_file = tmp_path / "lower.txt"
+        fan_file.write_text(LOWER_DIM_FAN_DOC)
+        code, _, text = structured(["fan", subop, str(fan_file)] + extra)
+        assert code == 0
+        assert text == expected
 
 
 class TestFourierMotzkinBudget:

@@ -1,0 +1,132 @@
+"""The integer cone kernel against the ``Fraction`` Gauss-Jordan oracle."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import gauss_jordan_solve
+from quasilines.divisors import SupportFunction, cartier_certificate
+from quasilines.fans import Fan, cone_contains, cone_coordinates
+from quasilines.lattice import (
+    NoSolutionError,
+    determinant,
+    invariant_factors,
+    primitive,
+    rational_inverse,
+    transpose,
+)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def rank(rows):
+    return sum(1 for f in invariant_factors(rows) if f != 0)
+
+
+def square_matrices(n):
+    return st.tuples(*[st.tuples(*[st.integers(-6, 6)] * n)] * n)
+
+
+def primitive_vectors(dim):
+    vectors = st.tuples(*[st.integers(-4, 4)] * dim)
+    return vectors.filter(lambda v: any(v)).map(primitive)
+
+
+@st.composite
+def simplicial_cones(draw):
+    """A one-cone fan in dims 1-5 whose cone spans 1..dim independent rays,
+    and a point: a rational combination of the rays (inside the span, with
+    coefficients of either sign) or a random lattice point."""
+    dim = draw(st.integers(1, 5))
+    k = draw(st.integers(1, dim))
+    rays = tuple(draw(st.lists(primitive_vectors(dim), min_size=k, max_size=k)))
+    assume(rank(rays) == k)
+    if draw(st.booleans()):
+        coeffs = [
+            Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 1, 2, 3])))
+            for _ in range(k)
+        ]
+        point = tuple(sum(c * ray[j] for c, ray in zip(coeffs, rays)) for j in range(dim))
+        point = tuple(int(x) if x.denominator == 1 else x for x in point)
+    else:
+        point = draw(st.tuples(*[st.integers(-6, 6)] * dim))
+    return Fan(dim, rays, (tuple(range(k)),)), point
+
+
+@st.composite
+def full_dimensional_fans(draw):
+    """Up to four full-dimensional simplicial cones over a shared ray pool
+    in dims 1-5, with one integer value per ray."""
+    dim = draw(st.integers(1, 5))
+    rays = tuple(draw(st.lists(primitive_vectors(dim), min_size=dim, max_size=dim + 2,
+                               unique=True)))
+    subsets = st.lists(st.sampled_from(range(len(rays))), min_size=dim, max_size=dim,
+                       unique=True).map(lambda c: tuple(sorted(c)))
+    cones = tuple(draw(st.lists(subsets, min_size=1, max_size=4)))
+    assume(all(rank(tuple(rays[i] for i in cone)) == dim for cone in cones))
+    values = tuple(draw(st.integers(-5, 5)) for _ in rays)
+    return SupportFunction(Fan(dim, rays, cones), values)
+
+
+class TestRationalInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(square_matrices))
+    def test_kernel_identity(self, a):
+        det = determinant(a)
+        assume(det != 0)
+        inv, d = rational_inverse(a)
+        n = len(a)
+        assert d == abs(det)
+        assert all(type(x) is int for row in inv for x in row)
+        for i in range(n):
+            for j in range(n):
+                assert sum(a[i][k] * inv[k][j] for k in range(n)) == d * (i == j)
+
+
+class TestConeMembership:
+    @settings(max_examples=400, deadline=None)
+    @given(simplicial_cones())
+    def test_signs_match_oracle(self, case):
+        fan, point = case
+        cone = fan.max_cones[0]
+        try:
+            expected = gauss_jordan_solve(transpose(fan.rays), point).x
+        except NoSolutionError:
+            expected = None
+        coords = cone_coordinates(fan, cone, point)
+        if expected is None:
+            assert coords is None
+            assert not cone_contains(fan, cone, point)
+            return
+        assert coords is not None
+        assert [sign(c) for c in coords] == [sign(x) for x in expected]
+        assert cone_contains(fan, cone, point) == all(x >= 0 for x in expected)
+        if all(type(x) is int for x in point):
+            assert all(type(c) is int for c in coords)
+
+
+class TestCartierCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(full_dimensional_fans())
+    def test_matches_oracle(self, psi):
+        fan = psi.fan
+        duals = []
+        failure = None
+        for index, cone in enumerate(fan.max_cones):
+            rays = tuple(fan.rays[i] for i in cone)
+            rhs = tuple(psi.values[i] for i in cone)
+            solution = gauss_jordan_solve(rays, rhs).x
+            if any(x.denominator != 1 for x in solution):
+                failure = (index, solution)
+                break
+            duals.append(tuple(int(x) for x in solution))
+        certificate = cartier_certificate(psi)
+        if failure is None:
+            assert certificate.cone_duals == tuple(duals)
+            assert certificate.failure_cone is None
+        else:
+            assert certificate.cone_duals is None
+            assert (certificate.failure_cone, certificate.failure_solution) == failure

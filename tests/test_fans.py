@@ -1,6 +1,7 @@
 """Tests for simplicial fans, subdivision and the cyclic quotient fans."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,8 @@ from quasilines.fans import (
     NotMaximalError,
     OutsideSupportError,
     _box_lattice_points,
+    cone_contains,
+    cone_coordinates,
     cone_multiplicity,
     cyclic_quotient_fans,
     desingularize,
@@ -159,6 +162,16 @@ class TestDesingularize:
         assert validate_fan(smooth).valid
         assert supports_agree(big, smooth, random.Random(12), 40)
 
+    @pytest.mark.parametrize("n,rays,cones", [
+        (3, 14, 24), (4, 35, 105), (5, 38, 180), (6, 119, 915),
+    ])
+    def test_quotient_refinement_sizes(self, n, rays, cones):
+        # Pins the ray chosen at every step: another scoring rule refines
+        # the n = 5 and n = 6 fans differently.
+        _, big, _ = cyclic_quotient_fans(n)
+        smooth = desingularize(big)
+        assert (len(smooth.rays), len(smooth.max_cones)) == (rays, cones)
+
 
 class TestToricMorphism:
     def test_identity(self):
@@ -168,3 +181,31 @@ class TestToricMorphism:
     def test_reflection_fails_on_half_plane(self):
         reflection = ((-1, 0), (0, 1))
         assert not is_toric_morphism(reflection, PLANE_CONE, PLANE_CONE)
+
+
+class TestLowerDimensionalCone:
+    # Cone (0, 1) spans the plane z = 0 with multiplicity 2.
+    FAN = make_fan(
+        3, [(1, 0, 0), (1, 2, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1), (2, 3)]
+    )
+
+    @pytest.mark.parametrize("point", [
+        (1, 1, 0), (2, 2, 0), (1, 0, 0), (0, 0, 0), (Fraction(1, 2), 1, 0),
+    ])
+    def test_inside(self, point):
+        assert cone_contains(self.FAN, (0, 1), point)
+
+    @pytest.mark.parametrize("point,signs", [
+        ((0, 1, 0), (-1, 1)),
+        ((-1, 0, 0), (-1, 0)),
+        ((1, -2, 0), (1, -1)),
+    ])
+    def test_in_span_outside_cone(self, point, signs):
+        coords = cone_coordinates(self.FAN, (0, 1), point)
+        assert tuple((c > 0) - (c < 0) for c in coords) == signs
+        assert not cone_contains(self.FAN, (0, 1), point)
+
+    @pytest.mark.parametrize("point", [(0, 0, 1), (1, 1, 1), (0, 0, -1)])
+    def test_outside_span(self, point):
+        assert cone_coordinates(self.FAN, (0, 1), point) is None
+        assert not cone_contains(self.FAN, (0, 1), point)
