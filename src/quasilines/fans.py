@@ -3,9 +3,12 @@
 Only simplicial fans are supported; every cone is stored as a sorted tuple of
 ray indices.  Membership, Cartier and scoring questions on a full-dimensional
 cone read signs, or divisibility by d, off its integer kernel (N, d); smaller
-cones go through the Smith-form rational solve.  The module also builds the
-fans of projective space and of its cyclic quotient of order n+1, together
-with the lattice inclusion realising the quotient map.
+cones go through the Smith-form rational solve.  Validation accepts a
+complete fan of full-dimensional cones by a facet-pairing certificate on the
+same kernels; any other fan is decided by a Fourier-Motzkin test per pair of
+cones.  The module also builds the fans of projective space and of its
+cyclic quotient of order n+1, together with the lattice inclusion realising
+the quotient map.
 """
 
 from __future__ import annotations
@@ -144,11 +147,6 @@ def is_smooth(fan: Fan) -> bool:
     )
 
 
-def _rank(rays: tuple[Vec, ...]) -> int:
-    factors = invariant_factors(rays)
-    return sum(1 for f in factors if f != 0)
-
-
 def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
     """Exact face test for two simplicial cones of a candidate fan.
 
@@ -170,8 +168,54 @@ def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
     return fm_feasible(rows, fan.dim)
 
 
+def _certifies_complete(fan: Fan, kernels: list[tuple[Matrix, int] | None]) -> bool:
+    """Facet-pairing certificate that ``fan`` is a complete fan.
+
+    ``kernels`` holds the integer kernel (N, d) of each maximal cone, or
+    None for a cone that is not full-dimensional.  The certificate accepts
+    when there is at least one cone, every cone is full-dimensional, every
+    facet (a cone minus the ray at position pos) lies in exactly two cones
+    a and b, row pa of N_a is negative on the ray of b opposite the facet,
+    and the point p = sum of the rays of cone 0 lies in no other closed cone.
+
+    Row pa of N_a vanishes on the facet and is d_a > 0 on the ray of a
+    opposite it, so the sign test says that a and b lie strictly on opposite
+    sides of the facet's hyperplane (the test is symmetric in a and b).
+    Proof of completeness: under that pairing, a path that crosses a facet
+    leaves one cone and enters one, so the number of cones covering a
+    generic point is constant.  N_0 p = d_0 (1, ..., 1), so p is interior
+    to cone 0 and, lying in no other closed cone, has a neighbourhood
+    covered once.  So the interiors of the cones are disjoint and cover
+    R^dim, and with the facet pairing the cones meet face to face (De
+    Loera, Rambau and Santos, Triangulations, 2010, ch. 4): the pairwise
+    test would accept too.  A fan this rejects may still be valid.
+    """
+    if not kernels or any(kernel is None for kernel in kernels):
+        return False
+    cones = fan.max_cones
+    facets: dict[Cone, list[tuple[int, int]]] = {}
+    for cidx, cone in enumerate(cones):
+        for pos in range(len(cone)):
+            facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((cidx, pos))
+    for sides in facets.values():
+        if len(sides) != 2:
+            return False
+        (a, pa), (b, pb) = sides
+        normal = kernels[a][0][pa]
+        if sum(x * y for x, y in zip(normal, fan.rays[cones[b][pb]])) >= 0:
+            return False
+    p = tuple(sum(coords) for coords in zip(*(fan.rays[i] for i in cones[0])))
+    return all(any(c < 0 for c in mat_vec(inv, p)) for inv, _ in kernels[1:])
+
+
 def validate_fan(fan: Fan) -> ValidationReport:
-    """Check all Fan invariants and list the violations found."""
+    """Check all Fan invariants and list the violations found.
+
+    Rays and cones are checked one by one.  If they pass, a complete fan of
+    full-dimensional cones is accepted by the facet-pairing certificate of
+    ``_certifies_complete``; any other fan is decided by a Fourier-Motzkin
+    face test on every pair of cones, which lists each failing pair.
+    """
     violations: list[str] = []
     if fan.dim < 1:
         violations.append("dimension must be positive")
@@ -189,33 +233,34 @@ def validate_fan(fan: Fan) -> ValidationReport:
             violations.append(f"rays {seen[ray]} and {idx} coincide")
         else:
             seen[ray] = idx
-    simplicial: list[bool] = []
+    kernels: list[tuple[Matrix, int] | None] = []
     for cidx, cone in enumerate(fan.max_cones):
-        ok = True
+        kernel = None
         if not cone:
             violations.append(f"cone {cidx} is empty")
-            ok = False
         elif len(set(cone)) != len(cone):
             violations.append(f"cone {cidx} repeats a ray index")
-            ok = False
         elif any(i < 0 or i >= len(fan.rays) for i in cone):
             violations.append(f"cone {cidx} references a missing ray")
-            ok = False
         elif len(cone) > fan.dim:
             violations.append(f"cone {cidx} has more generators than the dimension")
-            ok = False
-        elif _rank(tuple(fan.rays[i] for i in cone)) != len(cone):
-            violations.append(f"cone {cidx} is not simplicial")
-            ok = False
-        simplicial.append(ok)
+        elif all(len(fan.rays[i]) == fan.dim for i in cone):
+            # A ray of the wrong length is already reported above.
+            rays = tuple(fan.rays[i] for i in cone)
+            if len(cone) == fan.dim:
+                try:
+                    kernel = cone_kernel(rays)
+                except ValueError:
+                    violations.append(f"cone {cidx} is not simplicial")
+            elif 0 in invariant_factors(rays):
+                violations.append(f"cone {cidx} is not simplicial")
+        kernels.append(kernel)
     used = {i for cone in fan.max_cones for i in cone}
     for idx in range(len(fan.rays)):
         if idx not in used:
             violations.append(f"ray {idx} appears in no maximal cone")
-    if not violations:
+    if not violations and not _certifies_complete(fan, kernels):
         for i, j in itertools.combinations(range(len(fan.max_cones)), 2):
-            if not (simplicial[i] and simplicial[j]):
-                continue
             if not _meet_in_common_face(fan, fan.max_cones[i], fan.max_cones[j]):
                 violations.append(f"cones {i} and {j} do not meet in a common face")
     return ValidationReport(not violations, tuple(violations))

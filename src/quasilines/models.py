@@ -64,12 +64,6 @@ class ModelRecord:
                 known[name] = value
         return known
 
-    def note(self, field_name: str) -> str | None:
-        for key, text in self.provenance:
-            if key == field_name:
-                return text
-        return None
-
 
 @dataclass(frozen=True)
 class RuleFiring:

@@ -18,6 +18,18 @@ cones:
 - 0 2
 """
 
+# P^2 without cone 0 2: a valid fan that does not cover the plane.
+P2_OPEN_FAN_DOC = """\
+dim: 2
+rays:
+- 1 0
+- 0 1
+- -1 -1
+cones:
+- 0 1
+- 1 2
+"""
+
 # A fan in dimension 3 whose cone 0 1 is 2-dimensional, of multiplicity 2.
 LOWER_DIM_FAN_DOC = """\
 dim: 3
@@ -317,6 +329,49 @@ class TestLowerDimensionalCones:
         assert text == expected
 
 
+class TestValidationPaths:
+    # The plane covered twice: cones join consecutive rays 0 1, 1 2, ...,
+    # 7 0.  Every facet pairs across opposite sides; only the covered-once
+    # test fails, so the pairwise check decides and lists its violations.
+    DOUBLE_COVER_DOC = (
+        "dim: 2\nrays:\n- 1 0\n- 0 1\n- -1 0\n- 0 -1\n- 1 1\n- -1 1\n- -1 -1\n"
+        "- 1 -1\ncones:\n- 0 1\n- 1 2\n- 2 3\n- 3 4\n- 4 5\n- 5 6\n- 6 7\n- 0 7\n"
+    )
+
+    @pytest.mark.parametrize("doc,expected", [
+        (DOUBLE_COVER_DOC, (
+            "report: fan-validate\nseed: 0\ndim: 2\nray-count: 8\ncone-count: 8\n"
+            "valid: false\nviolations:\n"
+            "- cones 0 and 3 do not meet in a common face\n"
+            "- cones 0 and 4 do not meet in a common face\n"
+            "- cones 1 and 4 do not meet in a common face\n"
+            "- cones 1 and 5 do not meet in a common face\n"
+            "- cones 2 and 5 do not meet in a common face\n"
+            "- cones 2 and 6 do not meet in a common face\n"
+            "- cones 3 and 6 do not meet in a common face\n"
+            "- cones 3 and 7 do not meet in a common face\n"
+        )),
+        (P2_OPEN_FAN_DOC, (
+            "report: fan-validate\nseed: 0\ndim: 2\nray-count: 3\ncone-count: 2\n"
+            "valid: true\nviolations: none\n"
+        )),
+        ("dim: 2\nrays:\ncones:\n", (
+            "report: fan-validate\nseed: 0\ndim: 2\nray-count: 0\ncone-count: 0\n"
+            "valid: true\nviolations: none\n"
+        )),
+        ("dim: 2\nrays:\n- 1 0\n- 0 1 0\ncones:\n- 0 1\n", (
+            "report: fan-validate\nseed: 0\ndim: 2\nray-count: 2\ncone-count: 1\n"
+            "valid: false\nviolations:\n- ray 1 has wrong dimension\n"
+        )),
+    ], ids=["double-cover", "not-complete", "no-cones", "wrong-length-ray"])
+    def test_report_bytes(self, tmp_path, doc, expected):
+        fan_file = tmp_path / "fan.txt"
+        fan_file.write_text(doc)
+        code, _, text = structured(["fan", "validate", str(fan_file)])
+        assert code == 0
+        assert text == expected
+
+
 class TestFourierMotzkinBudget:
     @pytest.mark.parametrize("subop,extra", [
         ("validate", []),
@@ -325,11 +380,21 @@ class TestFourierMotzkinBudget:
     def test_exceeded_budget_exits_2(self, tmp_path, monkeypatch, subop, extra):
         monkeypatch.setattr(lattice, "FM_ROW_BUDGET", 1)
         fan_file = tmp_path / "p2.txt"
-        fan_file.write_text(P2_FAN_DOC)
+        # The certificate accepts complete P^2 without FM, so validation
+        # takes a fan that only the pairwise check can decide.
+        fan_file.write_text(P2_OPEN_FAN_DOC if subop == "validate" else P2_FAN_DOC)
         code, doc, text = structured(["fan", subop, str(fan_file)] + extra)
         assert code == 2
         assert doc["error"] == "FourierMotzkinBudgetError"
         assert "FM_ROW_BUDGET = 1\n" in text
+
+    def test_certified_fan_needs_no_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lattice, "FM_ROW_BUDGET", 1)
+        fan_file = tmp_path / "p2.txt"
+        fan_file.write_text(P2_FAN_DOC)
+        code, doc, _ = structured(["fan", "validate", str(fan_file)])
+        assert code == 0
+        assert doc["valid"] is True
 
 
 class TestMainAndOutput:

@@ -1,9 +1,12 @@
 """Tests for simplicial fans, subdivision and the cyclic quotient fans."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import supports_agree
 from quasilines.fans import (
@@ -12,8 +15,11 @@ from quasilines.fans import (
     NotMaximalError,
     OutsideSupportError,
     _box_lattice_points,
+    _certifies_complete,
+    _meet_in_common_face,
     cone_contains,
     cone_coordinates,
+    cone_kernel,
     cone_multiplicity,
     cyclic_quotient_fans,
     desingularize,
@@ -23,7 +29,7 @@ from quasilines.fans import (
     stellar_subdivide,
     validate_fan,
 )
-from quasilines.lattice import mat_vec
+from quasilines.lattice import mat_vec, primitive
 
 PLANE_CONE = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
 
@@ -209,3 +215,76 @@ class TestLowerDimensionalCone:
     def test_outside_span(self, point):
         assert cone_coordinates(self.FAN, (0, 1), point) is None
         assert not cone_contains(self.FAN, (0, 1), point)
+
+
+def certificate_accepts(fan):
+    try:
+        kernels = [cone_kernel(tuple(fan.rays[i] for i in cone)) for cone in fan.max_cones]
+    except ValueError:
+        return False
+    return _certifies_complete(fan, kernels)
+
+
+def pairwise_accepts(fan):
+    return all(
+        _meet_in_common_face(fan, a, b)
+        for a, b in itertools.combinations(fan.max_cones, 2)
+    )
+
+
+CORRUPTIONS = ("none", "drop", "duplicate", "nudge", "flip", "swap", "one-sided")
+
+
+@st.composite
+def subdivided_fans(draw):
+    """A complete fan from random stellar subdivisions of a quotient fan
+    pair, n = 2..4, and the name of the corruption applied to it."""
+    n = draw(st.integers(2, 4))
+    fan = draw(st.sampled_from(cyclic_quotient_fans(n)[:2]))
+    points = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+    for w in draw(st.lists(points, max_size=3)):
+        fan = stellar_subdivide(fan, w)
+    corruption = draw(st.sampled_from(CORRUPTIONS))
+    cones = list(fan.max_cones)
+    k = draw(st.integers(0, len(cones) - 1))
+    rays = list(fan.rays)
+    if corruption == "drop":
+        del cones[k]
+    elif corruption == "duplicate":
+        cones.append(cones[k])
+    elif corruption in ("nudge", "flip"):
+        i = draw(st.integers(0, len(rays) - 1))
+        if corruption == "flip":
+            rays[i] = tuple(-x for x in rays[i])
+        else:
+            j = draw(st.integers(0, n - 1))
+            step = draw(st.sampled_from((-1, 1)))
+            moved = tuple(x + step * (c == j) for c, x in enumerate(rays[i]))
+            rays[i] = primitive(moved) if any(moved) else rays[i]
+    elif corruption == "swap":
+        outside = [i for i in range(len(rays)) if i not in cones[k]]
+        pos = draw(st.integers(0, n - 1))
+        new = draw(st.sampled_from(outside))
+        cones[k] = tuple(sorted(cones[k][:pos] + (new,) + cones[k][pos + 1:]))
+    elif corruption == "one-sided":
+        # Subdivide only cone k at a point inside one of its facets, so the
+        # neighbour across that facet keeps the whole facet.
+        pos = draw(st.integers(0, n - 1))
+        facet = cones[k][:pos] + cones[k][pos + 1:]
+        w = primitive(tuple(map(sum, zip(*(rays[i] for i in facet)))))
+        part = stellar_subdivide(Fan(n, fan.rays, (cones[k],)), w)
+        rays = list(part.rays)
+        cones[k:k + 1] = part.max_cones
+    return Fan(n, tuple(rays), tuple(cones)), corruption
+
+
+class TestCompletenessCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(subdivided_fans())
+    def test_agrees_with_pairwise_oracle(self, case):
+        fan, corruption = case
+        if certificate_accepts(fan):
+            assert pairwise_accepts(fan)
+        if corruption == "none":
+            assert certificate_accepts(fan)
+            assert validate_fan(fan).valid
