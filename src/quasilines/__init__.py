@@ -46,12 +46,10 @@ from .lattice import (
     primitive,
     smith_normal_form,
     solve_rational_linear,
-    sublattice_index,
 )
 from .models import (
     ModelRecord,
     catalog,
-    check_record,
     propagate,
 )
 

@@ -62,7 +62,7 @@ from .fans import (
 )
 from .lattice import FourierMotzkinBudgetError
 from .models import BUILTIN_RECORDS, ModelRecord, propagate
-from .report import ParseError, parse, render
+from .report import parse, render
 
 MAX_QUOTIENT_N = 12
 MAX_LEMMA_N = 5
@@ -530,9 +530,8 @@ def run(argv) -> tuple[int, str]:
             ("detail", str(exc)),
         ]
         code = 2
-    except (UsageError, ParseError, BadDimensionError, FileNotFoundError) as exc:
-        return 1, render([("report", "error"), ("error", "usage"), ("detail", str(exc))])
-    except ValueError as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:
+        # ParseError and BadDimensionError are ValueErrors.
         return 1, render([("report", "error"), ("error", "usage"), ("detail", str(exc))])
     except AssertionError as exc:
         return 3, render([("report", "error"), ("error", "internal"), ("detail", str(exc))])

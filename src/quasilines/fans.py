@@ -2,22 +2,22 @@
 
 Only simplicial fans are supported; every cone is stored as a sorted tuple of
 ray indices.  Membership, Cartier and scoring questions on a full-dimensional
-cone read signs, or divisibility by d, off its integer kernel (N, d); smaller
-cones go through the Smith-form rational solve.  Validation accepts a
-complete fan of full-dimensional cones by a facet-pairing certificate on the
-same kernels; any other fan is decided by a Fourier-Motzkin test per pair of
-cones.  The module also builds the fans of projective space and of its
-cyclic quotient of order n+1, together with the lattice inclusion realising
-the quotient map.
+cone read signs, or divisibility by d, off its integer kernel (N, d), and d
+is its multiplicity; smaller cones go through the Smith normal form, which
+also enumerates, in integers, the lattice points of a cone's half-open box.
+Validation accepts a complete fan of full-dimensional cones by a
+facet-pairing certificate on the same kernels; any other fan is decided by a
+Fourier-Motzkin test per pair of cones.  The module also builds the fans of
+projective space and of its cyclic quotient of order n+1, together with the
+lattice inclusion realising the quotient map.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .lattice import (
     InfiniteIndexError,
@@ -109,13 +109,6 @@ def cone_contains(fan: Fan, cone: Cone, point) -> bool:
     return coords is not None and all(c >= 0 for c in coords)
 
 
-def find_containing_cone(fan: Fan, point) -> Cone | None:
-    for cone in fan.max_cones:
-        if cone_contains(fan, cone, point):
-            return cone
-    return None
-
-
 def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     """Index of the sublattice spanned by the ray generators of ``cone``.
 
@@ -124,25 +117,26 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     """
     if len(cone) != fan.dim:
         raise NotMaximalError(f"cone {cone} is not full-dimensional in dim {fan.dim}")
-    return _general_multiplicity(tuple(fan.rays[i] for i in cone))
+    return _multiplicity(tuple(fan.rays[i] for i in cone))
 
 
-def _general_multiplicity(rays: tuple[Vec, ...]) -> int:
-    """Product of the nonzero Smith invariant factors of the ray matrix."""
+def _multiplicity(rays: tuple[Vec, ...]) -> int:
+    """Index of the lattice spanned by ``rays`` in the lattice points of
+    their span: the kernel's d when the rays span the whole space, else the
+    product of the Smith invariant factors.  Dependent rays raise
+    ``InfiniteIndexError``.
+    """
+    if rays and len(rays) == len(rays[0]):
+        return cone_kernel(rays)[1]
     factors = invariant_factors(rays)
-    rank = sum(1 for f in factors if f != 0)
-    if rank != len(rays):
+    if len(factors) < len(rays) or 0 in factors:
         raise InfiniteIndexError("cone generators are linearly dependent")
-    index = 1
-    for f in factors:
-        if f:
-            index *= f
-    return index
+    return prod(factors)
 
 
 def is_smooth(fan: Fan) -> bool:
     return all(
-        _general_multiplicity(tuple(fan.rays[i] for i in cone)) == 1
+        _multiplicity(tuple(fan.rays[i] for i in cone)) == 1
         for cone in fan.max_cones
     )
 
@@ -211,7 +205,8 @@ def _certifies_complete(fan: Fan, kernels: list[tuple[Matrix, int] | None]) -> b
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check all Fan invariants and list the violations found.
 
-    Rays and cones are checked one by one.  If they pass, a complete fan of
+    Rays and cones are checked one by one, and a cone listed twice is
+    reported at its repeat.  If they pass, a complete fan of
     full-dimensional cones is accepted by the facet-pairing certificate of
     ``_certifies_complete``; any other fan is decided by a Fourier-Motzkin
     face test on every pair of cones, which lists each failing pair.
@@ -234,9 +229,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
         else:
             seen[ray] = idx
     kernels: list[tuple[Matrix, int] | None] = []
+    first: dict[Cone, int] = {}
     for cidx, cone in enumerate(fan.max_cones):
         kernel = None
-        if not cone:
+        if cone in first:
+            violations.append(f"cone {cidx} repeats cone {first[cone]}")
+        elif not cone:
             violations.append(f"cone {cidx} is empty")
         elif len(set(cone)) != len(cone):
             violations.append(f"cone {cidx} repeats a ray index")
@@ -250,10 +248,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
             if len(cone) == fan.dim:
                 try:
                     kernel = cone_kernel(rays)
-                except ValueError:
+                except InfiniteIndexError:
                     violations.append(f"cone {cidx} is not simplicial")
             elif 0 in invariant_factors(rays):
                 violations.append(f"cone {cidx} is not simplicial")
+        first.setdefault(cone, cidx)
         kernels.append(kernel)
     used = {i for cone in fan.max_cones for i in cone}
     for idx in range(len(fan.rays)):
@@ -307,27 +306,28 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
 def _box_lattice_points(rays: tuple[Vec, ...]) -> set[Vec]:
     """Nonzero lattice points in the half-open parallelepiped of ``rays``.
 
-    Enumerated through the Smith normal form of the generator matrix, so the
-    cost is proportional to the cone multiplicity rather than to any
-    coordinate bounding box.
+    Enumerated through the Smith normal form U R V = S of the generator
+    matrix R, so the cost is proportional to the cone multiplicity rather
+    than to any coordinate bounding box.  Residues z_i mod s_i give the
+    coefficients lam = (sum z_i U_i / s_i) mod 1 of a point lam R.  Every
+    invariant factor divides the largest one, D, so the enumeration runs in
+    integers: D lam = (sum z_i (D / s_i) U_i) mod D, and (D lam) R / D is an
+    exact division.
     """
     k = len(rays)
     u, s, _ = smith_normal_form(rays)
     factors = [s[i][i] for i in range(k)]
     if any(f == 0 for f in factors):
         raise InfiniteIndexError("cone generators are linearly dependent")
+    big = factors[-1]
+    weights = [tuple(big // f * x for x in row) for f, row in zip(factors, u)]
     points: set[Vec] = set()
     for residues in itertools.product(*(range(f) for f in factors)):
-        mu = [Fraction(z, f) for z, f in zip(residues, factors)]
-        lam = [sum(mu[i] * u[i][j] for i in range(k)) for j in range(k)]
-        frac = [c - (c.numerator // c.denominator) for c in lam]
-        coords = [
-            sum(frac[i] * rays[i][j] for i in range(k))
-            for j in range(len(rays[0]))
-        ]
-        assert all(Fraction(c).denominator == 1 for c in coords)
-        if any(c != 0 for c in coords):
-            points.add(tuple(int(c) for c in coords))
+        lam = [sum(z * w[i] for z, w in zip(residues, weights)) % big for i in range(k)]
+        scaled = [sum(lam[i] * rays[i][j] for i in range(k)) for j in range(len(rays[0]))]
+        assert all(c % big == 0 for c in scaled)
+        if any(scaled):
+            points.add(tuple(c // big for c in scaled))
     return points
 
 
@@ -335,20 +335,21 @@ def desingularize(fan: Fan) -> Fan:
     """Refine ``fan`` by stellar subdivisions until every cone is smooth.
 
     Strategy: take a maximal cone of largest multiplicity (ties broken by
-    the lexicographically smallest index tuple), enumerate the lattice
-    points of its half-open generator parallelepiped, and subdivide at the
-    primitive candidate minimising the largest multiplicity among the cones
-    the subdivision creates, ties again lexicographic.  Each child cone has
-    strictly smaller multiplicity than its parent, so the procedure
+    the lexicographically smallest index tuple), enumerate in integers the
+    lattice points of its half-open generator parallelepiped, and subdivide
+    at the primitive candidate minimising the largest multiplicity among the
+    cones the subdivision creates, ties again lexicographic.  A
+    full-dimensional cone's multiplicity is its kernel's d, and a candidate's
+    kernel coordinates are the multiplicities of its children.  Each child
+    cone has strictly smaller multiplicity than its parent, so the procedure
     terminates; the support and the original rays are preserved.
     """
     current = fan
     while True:
-        mults = {}
-        for cone in current.max_cones:
-            rays = tuple(current.rays[i] for i in cone)
-            full = len(cone) == current.dim
-            mults[cone] = cone_kernel(rays)[1] if full else _general_multiplicity(rays)
+        mults = {
+            cone: _multiplicity(tuple(current.rays[i] for i in cone))
+            for cone in current.max_cones
+        }
         worst = max(mults.values())
         if worst == 1:
             return current
@@ -372,7 +373,7 @@ def desingularize(fan: Fan) -> Fan:
                 for pos, coeff in enumerate(coords):
                     if coeff > 0:
                         child = rays[:pos] + (w,) + rays[pos + 1:]
-                        score = max(score, _general_multiplicity(child))
+                        score = max(score, _multiplicity(child))
             if best_score is None or score < best_score:
                 best_score, best_w = score, w
         assert best_w is not None

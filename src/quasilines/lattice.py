@@ -69,29 +69,6 @@ def dot(u, v) -> int | Fraction:
     return sum(x * y for x, y in zip(u, v))
 
 
-def determinant(a: Matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    rows, cols = _dims(a)
-    if rows != cols:
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(rows - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, rows) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, rows):
-            for j in range(k + 1, rows):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[rows - 1][rows - 1]
-
-
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, S, V) with U*a*V = S, S diagonal and s1 | s2 | ...
 
@@ -186,24 +163,6 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     return tuple(s[i][i] for i in range(min(rows, cols)))
 
 
-def sublattice_index(basis: Matrix) -> int:
-    """Index in Z^n of the sublattice spanned by the rows of ``basis``.
-
-    Computed as the product of the Smith invariant factors.  Raises
-    ``InfiniteIndexError`` when the rows are linearly dependent (index
-    infinite, determinant zero).
-    """
-    rows, cols = _dims(basis)
-    if rows != cols:
-        raise ValueError("sublattice_index expects a square basis matrix")
-    index = 1
-    for factor in invariant_factors(basis):
-        if factor == 0:
-            raise InfiniteIndexError("generators are linearly dependent")
-        index *= factor
-    return index
-
-
 def primitive(v: Vec) -> Vec:
     """Divide a nonzero integer vector by the gcd of its coordinates."""
     g = 0
@@ -255,7 +214,8 @@ def rational_inverse(a: Matrix) -> tuple[Matrix, int]:
     inverse is N / d.  Computed by fraction-free Gauss-Jordan elimination
     (Bareiss 1968) on [a | I]: after the step on column k every entry is a
     minor of order k + 1, so each division is exact.  Raises
-    ``ValueError("matrix is singular")`` when det a = 0.
+    ``InfiniteIndexError("matrix is singular")`` when det a = 0: the columns
+    then span a sublattice of infinite index.
     """
     rows, cols = _dims(a)
     if rows != cols:
@@ -266,7 +226,7 @@ def rational_inverse(a: Matrix) -> tuple[Matrix, int]:
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot is None:
-            raise ValueError("matrix is singular")
+            raise InfiniteIndexError("matrix is singular")
         m[k], m[pivot] = m[pivot], m[k]
         pk, p = m[k], m[k][k]
         for i in range(n):

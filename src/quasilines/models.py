@@ -90,20 +90,6 @@ class PropagationResult:
         return self.contradiction is None
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    record: ModelRecord
-    firings: tuple[RuleFiring, ...]
-    contradiction: Contradiction | None
-    derived: tuple[str, ...]
-
-    @property
-    def violations(self) -> tuple[str, ...]:
-        if self.contradiction is None:
-            return ()
-        return (f"{self.contradiction.rule}: {self.contradiction.detail}",)
-
-
 class _Engine:
     def __init__(self, record: ModelRecord):
         self.record = record
@@ -246,18 +232,6 @@ class _Engine:
 def propagate(record: ModelRecord) -> PropagationResult:
     """Run the rules to a fixed point; derivation order is deterministic."""
     return _Engine(record).run()
-
-
-def check_record(record: ModelRecord) -> ConsistencyReport:
-    """Propagate without touching the input and report what was derived."""
-    result = propagate(record)
-    before = set(record.known_fields())
-    derived = tuple(
-        f"{name} = {value}"
-        for name, value in sorted(result.record.known_fields().items())
-        if name not in before
-    )
-    return ConsistencyReport(result.record, result.firings, result.contradiction, derived)
 
 
 def projective_space_record(n: int | None = None) -> ModelRecord:

@@ -1,10 +1,17 @@
 """Shared oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 from quasilines.divisors import SectionsPolyhedron
-from quasilines.fans import find_containing_cone
-from quasilines.lattice import LinearSolution, NoSolutionError, fm_feasible
+from quasilines.fans import cone_contains
+from quasilines.lattice import (
+    InfiniteIndexError,
+    LinearSolution,
+    NoSolutionError,
+    fm_feasible,
+    smith_normal_form,
+)
 
 
 def random_bounded_system(rng, dim):
@@ -41,6 +48,14 @@ def rational_cone_points(fan, cone, rng, count):
     return points
 
 
+def find_containing_cone(fan, point):
+    """First maximal cone of ``fan`` that contains ``point``, or None."""
+    for cone in fan.max_cones:
+        if cone_contains(fan, cone, point):
+            return cone
+    return None
+
+
 def supports_agree(fan_a, fan_b, rng, per_cone):
     """Sampling oracle: points of each fan's cones lie in the other fan."""
     for src, dst in ((fan_a, fan_b), (fan_b, fan_a)):
@@ -53,8 +68,6 @@ def supports_agree(fan_a, fan_b, rng, per_cone):
 
 def brute_force_count(constraints, lows, highs):
     """Independent lattice-point count by scanning an explicit integer box."""
-    import itertools
-
     count = 0
     points = []
     for candidate in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
@@ -117,3 +130,50 @@ def gauss_jordan_solve(a, b):
     for row_idx, c in enumerate(pivot_cols):
         x[c] = aug[row_idx][cols]
     return LinearSolution(tuple(x), unique=(len(pivot_cols) == cols))
+
+
+def determinant(a):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    rows = len(a)
+    if any(len(row) != rows for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(rows - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, rows) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, rows):
+            for j in range(k + 1, rows):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[rows - 1][rows - 1]
+
+
+def fraction_box_lattice_points(rays):
+    """Reference for ``fans._box_lattice_points``: the same Smith-group
+    enumeration with ``Fraction`` coefficients lam = (sum z_i U_i / s_i)
+    mod 1 and points lam R."""
+    k = len(rays)
+    u, s, _ = smith_normal_form(rays)
+    factors = [s[i][i] for i in range(k)]
+    if any(f == 0 for f in factors):
+        raise InfiniteIndexError("cone generators are linearly dependent")
+    points = set()
+    for residues in itertools.product(*(range(f) for f in factors)):
+        mu = [Fraction(z, f) for z, f in zip(residues, factors)]
+        lam = [sum(mu[i] * u[i][j] for i in range(k)) for j in range(k)]
+        frac = [c - (c.numerator // c.denominator) for c in lam]
+        coords = [
+            sum(frac[i] * rays[i][j] for i in range(k))
+            for j in range(len(rays[0]))
+        ]
+        assert all(Fraction(c).denominator == 1 for c in coords)
+        if any(c != 0 for c in coords):
+            points.add(tuple(int(c) for c in coords))
+    return points

@@ -363,13 +363,27 @@ class TestValidationPaths:
             "report: fan-validate\nseed: 0\ndim: 2\nray-count: 2\ncone-count: 1\n"
             "valid: false\nviolations:\n- ray 1 has wrong dimension\n"
         )),
-    ], ids=["double-cover", "not-complete", "no-cones", "wrong-length-ray"])
+        (P2_FAN_DOC + "- 0 1\n", (
+            "report: fan-validate\nseed: 0\ndim: 2\nray-count: 3\ncone-count: 4\n"
+            "valid: false\nviolations:\n- cone 3 repeats cone 0\n"
+        )),
+    ], ids=["double-cover", "not-complete", "no-cones", "wrong-length-ray",
+            "repeated-cone"])
     def test_report_bytes(self, tmp_path, doc, expected):
         fan_file = tmp_path / "fan.txt"
         fan_file.write_text(doc)
         code, _, text = structured(["fan", "validate", str(fan_file)])
         assert code == 0
         assert text == expected
+
+    def test_repeated_cone_is_not_desingularized(self, tmp_path):
+        fan_file = tmp_path / "fan.txt"
+        fan_file.write_text(P2_FAN_DOC + "- 0 1\n")
+        code, _, text = structured(["fan", "desingularize", str(fan_file)])
+        assert code == 1
+        assert text == (
+            "report: error\nerror: usage\ndetail: invalid fan: cone 3 repeats cone 0\n"
+        )
 
 
 class TestFourierMotzkinBudget:

@@ -1,16 +1,26 @@
-"""The integer cone kernel against the ``Fraction`` Gauss-Jordan oracle."""
+"""The integer cone kernel against the ``Fraction`` oracles."""
 
+import itertools
 from fractions import Fraction
+from math import gcd, prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_jordan_solve
+import quasilines
+from conftest import determinant, fraction_box_lattice_points, gauss_jordan_solve
+from quasilines import fans, lattice, models
 from quasilines.divisors import SupportFunction, cartier_certificate
-from quasilines.fans import Fan, cone_contains, cone_coordinates
+from quasilines.fans import (
+    Fan,
+    _box_lattice_points,
+    _multiplicity,
+    cone_contains,
+    cone_coordinates,
+    cone_multiplicity,
+)
 from quasilines.lattice import (
     NoSolutionError,
-    determinant,
     invariant_factors,
     primitive,
     rational_inverse,
@@ -130,3 +140,48 @@ class TestCartierCertificate:
         else:
             assert certificate.cone_duals is None
             assert (certificate.failure_cone, certificate.failure_solution) == failure
+
+
+class TestMultiplicity:
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cones())
+    def test_matches_determinants(self, case):
+        fan, _ = case
+        cone = fan.max_cones[0]
+        rays = tuple(fan.rays[i] for i in cone)
+        k = len(rays)
+        # The index of the lattice the rays span in the lattice points of
+        # their span is the gcd of the k x k minors of the ray matrix.
+        expected = gcd(*(
+            determinant(tuple(tuple(ray[j] for j in cols) for ray in rays))
+            for cols in itertools.combinations(range(fan.dim), k)
+        ))
+        assert _multiplicity(rays) == expected == prod(invariant_factors(rays))
+        if k == fan.dim:
+            assert cone_multiplicity(fan, cone) == abs(determinant(rays))
+
+
+class TestBoxLatticePoints:
+    @settings(max_examples=200, deadline=None)
+    @given(simplicial_cones())
+    def test_matches_fraction_oracle(self, case):
+        fan, _ = case
+        rays = fan.rays
+        assert _box_lattice_points(rays) == fraction_box_lattice_points(rays)
+
+
+def test_deleted_names_stay_gone():
+    # Multiplicity, membership and the box enumeration are integer
+    # computations on the cone kernel; the Fraction path must not return.
+    assert not hasattr(fans, "Fraction")
+    for module, name in [
+        (fans, "_general_multiplicity"),
+        (fans, "find_containing_cone"),
+        (lattice, "determinant"),
+        (lattice, "sublattice_index"),
+        (models, "check_record"),
+        (models, "ConsistencyReport"),
+        (quasilines, "sublattice_index"),
+        (quasilines, "check_record"),
+    ]:
+        assert not hasattr(module, name), name

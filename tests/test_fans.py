@@ -169,7 +169,8 @@ class TestDesingularize:
         assert supports_agree(big, smooth, random.Random(12), 40)
 
     @pytest.mark.parametrize("n,rays,cones", [
-        (3, 14, 24), (4, 35, 105), (5, 38, 180), (6, 119, 915),
+        (2, 9, 9), (3, 14, 24), (4, 35, 105), (5, 38, 180), (6, 119, 915),
+        (7, 82, 864),
     ])
     def test_quotient_refinement_sizes(self, n, rays, cones):
         # Pins the ray chosen at every step: another scoring rule refines
@@ -288,3 +289,5 @@ class TestCompletenessCertificate:
         if corruption == "none":
             assert certificate_accepts(fan)
             assert validate_fan(fan).valid
+        if corruption == "duplicate":
+            assert not validate_fan(fan).valid

@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import determinant
+from quasilines.fans import _multiplicity
 from quasilines.lattice import (
     InfiniteIndexError,
     NoSolutionError,
     ZeroVectorError,
-    determinant,
     invariant_factors,
     mat_vec,
     primitive,
     rational_inverse,
     smith_normal_form,
     solve_rational_linear,
-    sublattice_index,
 )
 
 
@@ -96,8 +96,10 @@ class TestSmithNormalForm:
 
 
 class TestSublatticeIndex:
+    # The index of the lattice spanned by the rows is the multiplicity of
+    # the cone they generate.
     def test_identity(self):
-        assert sublattice_index(identity_matrix(4)) == 1
+        assert _multiplicity(identity_matrix(4)) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_quotient_lattice(self, n):
@@ -105,11 +107,12 @@ class TestSublatticeIndex:
             tuple((n + 1) if i == j == 0 else int(i == j) for j in range(n))
             for i in range(n)
         )
-        assert sublattice_index(basis) == n + 1
+        assert _multiplicity(basis) == n + 1
 
     def test_degenerate(self):
-        with pytest.raises(InfiniteIndexError):
-            sublattice_index(((2, 0), (0, 0)))
+        for rows in (((2, 0), (0, 0)), ((1, 2, 0), (2, 4, 0)), ((1, 0), (0, 1), (1, 1))):
+            with pytest.raises(InfiniteIndexError):
+                _multiplicity(rows)
 
     def test_matches_invariant_factor_product(self):
         rng = random.Random(7)
@@ -122,7 +125,7 @@ class TestSublatticeIndex:
             product = 1
             for f in invariant_factors(a):
                 product *= f
-            assert sublattice_index(a) == product == abs(determinant(a))
+            assert _multiplicity(a) == product == abs(determinant(a))
 
 
 class TestPrimitive:

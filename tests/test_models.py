@@ -7,7 +7,6 @@ import pytest
 from quasilines.models import (
     ModelRecord,
     catalog,
-    check_record,
     cubic_conic_record,
     projective_space_record,
     propagate,
@@ -96,27 +95,29 @@ class TestPropagate:
 
 class TestCheckRecord:
     def test_consistent_record(self):
-        report = check_record(cubic_conic_record())
-        assert report.violations == ()
-        assert "etilde = 6" in report.derived
-        assert "b = 1" in report.derived
+        record = cubic_conic_record()
+        result = propagate(record)
+        assert result.contradiction is None
+        before = record.known_fields()
+        derived = {k: v for k, v in result.record.known_fields().items() if k not in before}
+        assert derived["etilde"] == 6
+        assert derived["b"] == 1
 
     def test_rational_with_large_ex(self):
-        report = check_record(ModelRecord(name="bad", rational=True, ex=2))
-        assert report.contradiction is not None
-        assert report.contradiction.rule in ("R8", "R10")
+        result = propagate(ModelRecord(name="bad", rational=True, ex=2))
+        assert result.contradiction is not None
+        assert result.contradiction.rule in ("R8", "R10")
 
     def test_g3_against_unequal_counts(self):
-        report = check_record(ModelRecord(name="bad", g3=True, etilde=2, e=3))
-        assert report.contradiction is not None
-        assert report.contradiction.rule == "R3"
+        result = propagate(ModelRecord(name="bad", g3=True, etilde=2, e=3))
+        assert result.contradiction is not None
+        assert result.contradiction.rule == "R3"
 
 
 class TestCatalog:
     def test_all_entries_consistent(self):
         for entry in catalog():
-            report = check_record(entry)
-            assert report.contradiction is None, entry.name
+            assert propagate(entry).contradiction is None, entry.name
 
     def test_projective_space_closure(self):
         record = propagate(projective_space_record()).record
