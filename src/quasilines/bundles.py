@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import QuasilinesError, UsageError
 
-class InvalidSplittingError(ValueError):
+
+class InvalidSplittingError(QuasilinesError, ValueError):
     """Self-intersection targets incompatible with any splitting type."""
 
 
-class NotAmpleError(ValueError):
+class NotAmpleError(QuasilinesError, ValueError):
     """An operation needs every exponent to be at least 1."""
 
 
-class InapplicableReductionError(ValueError):
+class InapplicableReductionError(QuasilinesError, ValueError):
     """A numeric reduction hypothesis fails; the message names it."""
 
 
@@ -32,7 +34,7 @@ class SplittingType:
 
     def __post_init__(self):
         if not self.exponents:
-            raise ValueError("a splitting type needs at least one exponent")
+            raise UsageError("a splitting type needs at least one exponent")
         object.__setattr__(self, "exponents", tuple(sorted(int(a) for a in self.exponents)))
 
     def __len__(self) -> int:
@@ -56,7 +58,7 @@ class DivisorData:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("ambient dimension must be at least 2")
+            raise UsageError("ambient dimension must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def recover_splitting(targets, anchor_sum: int) -> SplittingType:
 def elementary_transform(t: SplittingType) -> SplittingType:
     """General-position elementary transform: top exponent drops by one."""
     if len(t) < 2:
-        raise ValueError("an elementary transform needs rank at least 2")
+        raise UsageError("an elementary transform needs rank at least 2")
     return codim2_blowup(t)
 
 
@@ -179,7 +181,7 @@ def rationality_criterion(t: SplittingType, dd: DivisorData) -> bool:
     """True when 0 < d <= a_1 and dim |D| >= n + d - 1, which forces the
     ambient n-fold to be rational."""
     if dd.n != len(t) + 1:
-        raise ValueError("normal bundle rank must be n - 1")
+        raise UsageError("normal bundle rank must be n - 1")
     d = dd.d_y
     return 0 < d <= t.exponents[0] and dd.dim_d >= dd.n + d - 1
 

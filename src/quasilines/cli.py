@@ -7,22 +7,24 @@ field order; an identical configuration renders to byte-identical
 structured output, and every header carries the seed in use.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 mathematical error
-condition (unbounded polyhedron, degenerate count, contradiction, retries
-exhausted, invalid targets), 3 internal invariant failure.
+condition, 3 internal failure.  The class of an error decides its code (see
+``quasilines.errors``): a ``UsageError`` exits 1 with a usage report on
+stderr, any other ``QuasilinesError`` exits 2 with an error report naming
+the class, and any other exception exits 3 with an ``internal`` report,
+never a traceback.  A models contradiction also exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from math import gcd
+from math import lcm
 from pathlib import Path
 
 from .bundles import (
     DivisorData,
     InapplicableReductionError,
-    InvalidSplittingError,
-    NotAmpleError,
     SplittingType,
     elementary_transform,
     fibration_reduction,
@@ -34,14 +36,11 @@ from .bundles import (
     strong_rationality_criterion,
 )
 from .cubic import (
-    DegenerateError,
-    RetriesExhaustedError,
     conic_count_certificate,
     count_lines_through_point,
     reducible_demo_instance,
 )
 from .divisors import (
-    UnboundedPolyhedronError,
     SupportFunction,
     cartier_certificate,
     count_lattice_points,
@@ -60,25 +59,12 @@ from .fans import (
     make_fan,
     validate_fan,
 )
-from .lattice import FourierMotzkinBudgetError
-from .models import BUILTIN_RECORDS, ModelRecord, propagate
+from .errors import QuasilinesError, UsageError
+from .models import BUILTIN_RECORDS, FLAG_FIELDS, INT_FIELDS, ModelRecord, propagate
 from .report import parse, render
 
 MAX_QUOTIENT_N = 12
 MAX_LEMMA_N = 5
-
-MATH_ERRORS = (
-    UnboundedPolyhedronError,
-    FourierMotzkinBudgetError,
-    DegenerateError,
-    RetriesExhaustedError,
-    InvalidSplittingError,
-    NotAmpleError,
-)
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,10 +136,29 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _as_index_tuple(item) -> tuple[int, ...]:
-    if isinstance(item, int):
-        return (item,)
-    return tuple(int(x) for x in item)
+def _read_doc(path) -> dict:
+    """Parse the document at ``path``; a path that cannot be read as text
+    is a usage error that carries the operating system's message."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(str(exc)) from exc
+    return parse(text)
+
+
+def _items(value) -> tuple:
+    """The entries of a document value: a list's items, a tuple's scalars,
+    or the value alone."""
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
+
+def _as_int(value, key: str) -> int:
+    """An integer scalar of a document; a fraction, a bool or a string is
+    rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        shown = str(value).lower() if isinstance(value, bool) else str(value)
+        raise UsageError(f"{key}: invalid integer {shown!r}")
+    return value
 
 
 def fan_from_doc(doc: dict) -> Fan:
@@ -161,35 +166,35 @@ def fan_from_doc(doc: dict) -> Fan:
         if key not in doc:
             raise UsageError(f"fan document is missing the key {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise UsageError("fan dim must be a positive integer")
-    rays = [_as_index_tuple(item) for item in doc["rays"]]
-    cones = [_as_index_tuple(item) for item in doc["cones"]]
+    rays = [tuple(_as_int(x, "rays") for x in _items(item)) for item in _items(doc["rays"])]
+    cones = [tuple(_as_int(x, "cones") for x in _items(item)) for item in _items(doc["cones"])]
     return make_fan(dim, rays, cones)
 
 
-def _load_fan(args) -> Fan:
-    path = args.fanfile
-    if path is None and args.divisor is not None:
-        doc = parse(Path(args.divisor).read_text())
-        ref = doc.get("fan")
-        if not isinstance(ref, str):
-            raise UsageError("divisor file does not reference a fan file")
-        path = str(Path(args.divisor).parent / ref)
-    if path is None:
+def _load_fan(args) -> tuple[Fan, dict | None]:
+    """The fan, and the divisor document when the fan was found through it."""
+    if args.fanfile is not None:
+        return fan_from_doc(_read_doc(args.fanfile)), None
+    if args.divisor is None:
         raise UsageError("a fan file is required")
-    return fan_from_doc(parse(Path(path).read_text()))
+    divisor = _read_doc(args.divisor)
+    ref = divisor.get("fan")
+    if not isinstance(ref, str):
+        raise UsageError("divisor file does not reference a fan file")
+    return fan_from_doc(_read_doc(Path(args.divisor).parent / ref)), divisor
 
 
-def _load_values(args, fan: Fan) -> tuple[int, ...]:
+def _load_values(args, fan: Fan, divisor: dict | None) -> tuple[int, ...]:
     if args.values is not None:
         values = _parse_int_list(args.values, "--values")
     elif args.divisor is not None:
-        doc = parse(Path(args.divisor).read_text())
-        if "values" not in doc:
+        if divisor is None:
+            divisor = _read_doc(args.divisor)
+        if "values" not in divisor:
             raise UsageError("divisor file has no values key")
-        raw = doc["values"]
-        values = (raw,) if isinstance(raw, int) else tuple(int(x) for x in raw)
+        values = tuple(_as_int(x, "values") for x in _items(divisor["values"]))
     else:
         raise UsageError("provide --values or --divisor")
     if len(values) != len(fan.rays):
@@ -222,11 +227,6 @@ def _cmd_appendix(args) -> tuple[list, int]:
     counted = count_lattice_points(polyhedron)
     assert cert_sub.cartier and not cert_big.cartier
     witness = cert_big.failure_solution
-    denominator_lcm = 1
-    for value in witness:
-        denominator_lcm = denominator_lcm * value.denominator // gcd(
-            denominator_lcm, value.denominator
-        )
     entries = [
         ("report", "appendix"),
         ("seed", args.seed),
@@ -246,7 +246,7 @@ def _cmd_appendix(args) -> tuple[list, int]:
         ("failing-cone", cert_big.failure_cone),
         ("failing-cone-rays", big_fan.max_cones[cert_big.failure_cone]),
         ("rational-solution", witness),
-        ("witness-denominator-lcm", denominator_lcm),
+        ("witness-denominator-lcm", lcm(*(value.denominator for value in witness))),
         ("constraints", [normal + (rhs,) for normal, rhs in polyhedron.constraints]),
         ("lattice-points", [point for point in counted.points]),
         ("section-count", counted.count),
@@ -380,34 +380,22 @@ def _cmd_cubic(args) -> tuple[list, int]:
     return entries, 0
 
 
-_RECORD_KEYS = {
-    "name": str, "dim": int, "e": int, "e0": int, "etilde": int, "b": int,
-    "ex": int, "g3": bool, "rational": bool, "unirational": bool,
-    "strongly_rational": bool,
-}
-
-
 def _record_from_doc(doc: dict, default_name: str) -> ModelRecord:
     fields: dict = {"name": default_name}
     for key, value in doc.items():
-        if key not in _RECORD_KEYS:
+        if key not in ("name",) + INT_FIELDS + FLAG_FIELDS:
             raise UsageError(f"unknown record field {key!r}")
-        expected = _RECORD_KEYS[key]
-        if expected is bool and not isinstance(value, bool):
+        if key in FLAG_FIELDS and not isinstance(value, bool):
             raise UsageError(f"record field {key!r} must be true or false")
-        if expected is int and (isinstance(value, bool) or not isinstance(value, int)):
+        if key in INT_FIELDS and (isinstance(value, bool) or not isinstance(value, int)):
             raise UsageError(f"record field {key!r} must be an integer")
         fields[key] = value
-    try:
-        return ModelRecord(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return ModelRecord(**fields)
 
 
 def _cmd_models(args) -> tuple[list, int]:
     if args.file is not None:
-        path = Path(args.file)
-        record = _record_from_doc(parse(path.read_text()), path.stem)
+        record = _record_from_doc(_read_doc(args.file), Path(args.file).stem)
     elif args.record is not None:
         builder = BUILTIN_RECORDS.get(args.record)
         if builder is None:
@@ -415,6 +403,8 @@ def _cmd_models(args) -> tuple[list, int]:
                 f"unknown builtin record {args.record!r}; choose from "
                 + ", ".join(sorted(BUILTIN_RECORDS))
             )
+        if args.n is not None and not inspect.signature(builder).parameters:
+            raise UsageError(f"--n does not apply to the builtin record {args.record!r}")
         record = builder(args.n) if args.n is not None else builder()
     else:
         raise UsageError("provide a builtin record name or --file")
@@ -453,7 +443,7 @@ def _cmd_models(args) -> tuple[list, int]:
 
 
 def _cmd_fan(args) -> tuple[list, int]:
-    fan = _load_fan(args)
+    fan, divisor = _load_fan(args)
     header = [("report", f"fan-{args.subop}"), ("seed", args.seed)]
     if args.subop == "validate":
         outcome = validate_fan(fan)
@@ -476,7 +466,7 @@ def _cmd_fan(args) -> tuple[list, int]:
             ("smooth", is_smooth(smooth)),
             ("added-rays", len(smooth.rays) - len(fan.rays)),
         ], 0
-    values = _load_values(args, fan)
+    values = _load_values(args, fan, divisor)
     psi = SupportFunction(fan, values)
     if args.subop == "cartier":
         certificate = cartier_certificate(psi)
@@ -513,35 +503,39 @@ _DISPATCH = {
 }
 
 
+def _usage_report(exc: Exception) -> tuple[int, str]:
+    return 1, render([("report", "error"), ("error", "usage"), ("detail", str(exc))])
+
+
 def run(argv) -> tuple[int, str]:
-    """Execute one command; returns (exit code, rendered report)."""
-    parser = build_parser()
+    """Execute one command; returns (exit code, rendered report).  The class
+    of a failure decides the code, as the module docstring says."""
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        return 1, render([("report", "error"), ("error", "usage"), ("detail", str(exc))])
-    try:
+        args = build_parser().parse_args(argv)
         entries, code = _DISPATCH[args.command](args)
-    except MATH_ERRORS as exc:
-        entries = [
+        body = render(entries)
+    except UsageError as exc:
+        return _usage_report(exc)
+    except QuasilinesError as exc:
+        code = 2
+        body = render([
             ("report", "error"),
-            ("seed", getattr(args, "seed", 0)),
+            ("seed", args.seed),
             ("error", type(exc).__name__),
             ("detail", str(exc)),
-        ]
-        code = 2
-    except (UsageError, ValueError, FileNotFoundError) as exc:
-        # ParseError and BadDimensionError are ValueErrors.
-        return 1, render([("report", "error"), ("error", "usage"), ("detail", str(exc))])
-    except AssertionError as exc:
-        return 3, render([("report", "error"), ("error", "internal"), ("detail", str(exc))])
-    body = render(entries)
+        ])
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        return 3, render([("report", "error"), ("error", "internal"), ("detail", detail)])
     if args.format == "human":
         body = f"# quasilines {args.command}\n" + body
-    if args.out:
+    if not args.out:
+        return code, body
+    try:
         Path(args.out).write_text(body)
-        return code, ""
-    return code, body
+    except OSError as exc:
+        return _usage_report(exc)
+    return code, ""
 
 
 def main(argv=None) -> int:

@@ -19,28 +19,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .errors import QuasilinesError, UsageError
 
-class DimensionMismatchError(ValueError):
+
+class DimensionMismatchError(UsageError):
     """Operands live in polynomial rings with different variable counts."""
 
 
-class ZeroPolynomialError(ValueError):
+class ZeroPolynomialError(QuasilinesError, ValueError):
     """A resultant operand is zero or constant in the elimination variable."""
 
 
-class NotOnHypersurfaceError(ValueError):
+class NotOnHypersurfaceError(QuasilinesError, ValueError):
     """The base point does not lie on the hypersurface."""
 
 
-class SingularPointError(ValueError):
+class SingularPointError(QuasilinesError, ValueError):
     """The hypersurface is singular at the base point."""
 
 
-class DegenerateError(ValueError):
+class DegenerateError(QuasilinesError, ValueError):
     """Infinitely many solutions: the count is not defined."""
 
 
-class RetriesExhaustedError(RuntimeError):
+class RetriesExhaustedError(QuasilinesError, RuntimeError):
     """No generic sample was found within the retry budget."""
 
 
@@ -443,6 +445,8 @@ def sample_cubic_instance(seed: int, bound: int = 9) -> tuple[Poly, tuple[int, .
     The coefficient of x0^3 is forced to zero so the base point lies on the
     hypersurface; everything stays in exact integers.
     """
+    if bound < 0:
+        raise UsageError("the coefficient bound must be non-negative")
     rng = random.Random(seed)
     terms = {}
     for combo in combinations_with_replacement(range(5), 3):

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import QuasilinesError, UsageError
 from .fans import Fan, cone_contains, cone_kernel, desingularize, is_toric_morphism
 from .lattice import (
     FracVec,
@@ -27,15 +28,15 @@ from .lattice import (
 )
 
 
-class NotMorphismError(ValueError):
+class NotMorphismError(QuasilinesError, ValueError):
     """The lattice hom does not define a toric morphism between the fans."""
 
 
-class NotCartierError(ValueError):
+class NotCartierError(QuasilinesError, ValueError):
     """The divisor being pulled back admits no Cartier certificate."""
 
 
-class UnboundedPolyhedronError(Exception):
+class UnboundedPolyhedronError(QuasilinesError):
     """The sections polyhedron has a nontrivial recession cone."""
 
 
@@ -274,6 +275,8 @@ def sampled_extension_check(
     coeff_bound]; extensions without a Cartier certificate are skipped, not
     counted as violations.
     """
+    if coeff_bound < 0:
+        raise UsageError("the coefficient bound must be non-negative")
     base_rays = base.fan.rays
     if refined.rays[: len(base_rays)] != base_rays:
         raise ValueError("refined fan must preserve the base rays as a prefix")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 
+from .errors import QuasilinesError, UsageError
 from .lattice import (
     InfiniteIndexError,
     Matrix,
@@ -38,15 +39,15 @@ Cone = tuple[int, ...]
 LatticeHom = Matrix
 
 
-class BadDimensionError(ValueError):
+class BadDimensionError(UsageError):
     """The requested construction needs a larger ambient dimension."""
 
 
-class OutsideSupportError(ValueError):
+class OutsideSupportError(QuasilinesError, ValueError):
     """A point expected inside the support of a fan lies outside it."""
 
 
-class NotMaximalError(ValueError):
+class NotMaximalError(UsageError):
     """Cone multiplicity is defined here only for full-dimensional cones."""
 
 
@@ -350,7 +351,7 @@ def desingularize(fan: Fan) -> Fan:
             cone: _multiplicity(tuple(current.rays[i] for i in cone))
             for cone in current.max_cones
         }
-        worst = max(mults.values())
+        worst = max(mults.values(), default=1)
         if worst == 1:
             return current
         target = min(cone for cone, m in mults.items() if m == worst)

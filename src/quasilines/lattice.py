@@ -17,20 +17,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import QuasilinesError
+
 Vec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
 
 
-class ZeroVectorError(ValueError):
+class ZeroVectorError(QuasilinesError, ValueError):
     """An operation that needs a nonzero vector received the zero vector."""
 
 
-class InfiniteIndexError(ValueError):
+class InfiniteIndexError(QuasilinesError, ValueError):
     """A sublattice spanned by dependent generators has infinite index."""
 
 
-class NoSolutionError(ValueError):
+class NoSolutionError(QuasilinesError, ValueError):
     """The linear system A x = b is inconsistent."""
 
 
@@ -38,7 +40,7 @@ class NoSolutionError(ValueError):
 FM_ROW_BUDGET = 200_000
 
 
-class FourierMotzkinBudgetError(Exception):
+class FourierMotzkinBudgetError(QuasilinesError):
     """Fourier-Motzkin elimination produced more rows than ``FM_ROW_BUDGET``."""
 
 

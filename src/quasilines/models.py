@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import UsageError
+
 INT_FIELDS = ("dim", "e", "e0", "etilde", "b", "ex")
 FLAG_FIELDS = ("g3", "rational", "unirational", "strongly_rational")
 
@@ -54,7 +56,7 @@ class ModelRecord:
         for name in INT_FIELDS:
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+                raise UsageError(f"{name} must be a positive integer")
 
     def known_fields(self) -> dict[str, int | bool]:
         known = {}
@@ -261,7 +263,7 @@ def cubic_conic_record() -> ModelRecord:
 def toric_quotient_record(n: int = 2) -> ModelRecord:
     """Quotient of projective n-space by the cyclic group of order n+1."""
     if n < 2:
-        raise ValueError("the quotient family needs n >= 2")
+        raise UsageError("the quotient family needs n >= 2")
     return ModelRecord(
         name=f"toric-quotient-{n}",
         dim=n,
@@ -280,7 +282,7 @@ def cotangent_bundle_record(r: int = 2) -> ModelRecord:
     """Projectivised cotangent bundle of projective r-space with an
     almost-line; a single curve of the family joins two general points."""
     if r < 2:
-        raise ValueError("the cotangent family needs r >= 2")
+        raise UsageError("the cotangent family needs r >= 2")
     return ModelRecord(
         name=f"cotangent-bundle-{r}",
         dim=2 * r - 1,

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import UsageError
 
-class ParseError(ValueError):
+
+class ParseError(UsageError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import quasilines
 from conftest import determinant, fraction_box_lattice_points, gauss_jordan_solve
-from quasilines import fans, lattice, models
+from quasilines import cli, fans, lattice, models
 from quasilines.divisors import SupportFunction, cartier_certificate
 from quasilines.fans import (
     Fan,
@@ -183,5 +183,8 @@ def test_deleted_names_stay_gone():
         (models, "ConsistencyReport"),
         (quasilines, "sublattice_index"),
         (quasilines, "check_record"),
+        # The class of an error decides its exit code (quasilines.errors).
+        (cli, "MATH_ERRORS"),
+        (cli, "_RECORD_KEYS"),
     ]:
         assert not hasattr(module, name), name
