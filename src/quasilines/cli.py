@@ -389,6 +389,11 @@ def _record_from_doc(doc: dict, default_name: str) -> ModelRecord:
             raise UsageError(f"record field {key!r} must be true or false")
         if key in INT_FIELDS and (isinstance(value, bool) or not isinstance(value, int)):
             raise UsageError(f"record field {key!r} must be an integer")
+        if key == "name":
+            words = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(word, str) for word in words):
+                raise UsageError("record field 'name' must be text")
+            value = " ".join(words)
         fields[key] = value
     return ModelRecord(**fields)
 

@@ -8,7 +8,8 @@ squarefree resultant of degree 6 with no solutions escaping to infinity
 certifies exactly six lines.  Through the classical two-points-on-a-secant
 correspondence this number is the conic invariant e of the threefold.
 
-Everything is computed over exact rationals; genericity is never assumed,
+Arithmetic is exact: integer coefficients stay integers, and a rational
+appears only where the algorithm divides.  Genericity is never assumed,
 only detected, and failures trigger seeded resampling.
 """
 
@@ -46,20 +47,26 @@ class RetriesExhaustedError(QuasilinesError, RuntimeError):
     """No generic sample was found within the retry budget."""
 
 
-class Poly:
-    """Sparse multivariate polynomial over exact rationals.
+def _exact(value) -> int | Fraction:
+    """Ints and Fractions as given; any other value is read through Fraction."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
-    Terms map exponent tuples (one entry per variable) to nonzero
-    Fraction coefficients.  Instances are treated as immutable.
+
+class Poly:
+    """Sparse multivariate polynomial with exact coefficients.
+
+    Terms map exponent tuples (one entry per variable) to nonzero int or
+    Fraction coefficients; ints stay ints, and any other value is read
+    through Fraction.  Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff != 0:
                 if len(exps) != nvars:
                     raise DimensionMismatchError("exponent tuple has wrong length")
@@ -72,12 +79,12 @@ class Poly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Poly":
         exps = tuple(int(i == index) for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -96,7 +103,7 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            terms[exps] = terms.get(exps, 0) + coeff
         return Poly(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
@@ -109,11 +116,11 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                terms[key] = terms.get(key, 0) + c1 * c2
         return Poly(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -126,15 +133,15 @@ class Poly:
             result = result * self
         return result
 
-    def evaluate(self, point) -> Fraction:
+    def evaluate(self, point) -> int | Fraction:
         if len(point) != self.nvars:
             raise DimensionMismatchError("evaluation point has wrong length")
-        total = Fraction(0)
+        total = 0
         for exps, coeff in self.terms.items():
             value = coeff
             for x, e in zip(point, exps):
                 if e:
-                    value *= Fraction(x) ** e
+                    value *= _exact(x) ** e
             total += value
         return total
 
@@ -154,23 +161,13 @@ class Poly:
             result = result + term
         return result
 
-    def substitute(self, var: int, replacement: "Poly") -> "Poly":
-        """Replace a single variable by a polynomial of the same ring."""
-        self._check(replacement)
-        result = Poly.zero(self.nvars)
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            base = Poly(self.nvars, {exps[:var] + (0,) + exps[var + 1:]: coeff})
-            result = result + base * replacement ** e
-        return result
-
     def derivative(self, var: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in self.terms.items():
             e = exps[var]
             if e:
                 key = exps[:var] + (e - 1,) + exps[var + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + coeff * e
+                terms[key] = terms.get(key, 0) + coeff * e
         return Poly(self.nvars, terms)
 
     def total_degree(self) -> int:
@@ -182,7 +179,7 @@ class Poly:
     def coefficients_in(self, var: int) -> list["Poly"]:
         """Coefficient polynomials of var^0, var^1, ... (var eliminated)."""
         degree = self.degree_in(var)
-        buckets: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(degree + 1)]
+        buckets: list[dict] = [dict() for _ in range(degree + 1)]
         for exps, coeff in self.terms.items():
             stripped = exps[:var] + (0,) + exps[var + 1:]
             buckets[exps[var]][stripped] = coeff
@@ -193,12 +190,12 @@ class Poly:
             v for v in range(self.nvars) if any(e[v] for e in self.terms)
         )
 
-    def as_univariate(self, var: int) -> list[Fraction]:
+    def as_univariate(self, var: int) -> list[int | Fraction]:
         """Ascending coefficient list; every other variable must be absent."""
         extra = [v for v in self.active_variables() if v != var]
         if extra:
             raise ValueError(f"polynomial also involves variables {extra}")
-        coeffs = [Fraction(0)] * (max(self.degree_in(var), 0) + 1)
+        coeffs = [0] * (max(self.degree_in(var), 0) + 1)
         for exps, coeff in self.terms.items():
             coeffs[exps[var]] = coeff
         return coeffs
@@ -217,23 +214,22 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def _uni_trim(coeffs: list[Fraction]) -> list[Fraction]:
+def _uni_trim(coeffs: list) -> list:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-def _uni_divmod(num: list[Fraction], den: list[Fraction]):
+def _uni_rem(num: list, den: list) -> list:
+    """Remainder of ascending coefficient lists, by exact rational division."""
     num = list(num)
-    quotient = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     while len(num) >= len(den) and _uni_trim(num):
         shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        quotient[shift] = factor
+        factor = Fraction(num[-1], den[-1])
         for i, c in enumerate(den):
             num[shift + i] -= factor * c
         _uni_trim(num)
-    return quotient, num
+    return num
 
 
 def gcd_univariate(p: Poly, q: Poly) -> Poly:
@@ -247,8 +243,7 @@ def gcd_univariate(p: Poly, q: Poly) -> Poly:
     a = _uni_trim(p.as_univariate(var))
     b = _uni_trim(q.as_univariate(var))
     while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, _uni_trim(r)
+        a, b = b, _uni_trim(_uni_rem(a, b))
     if not a:
         return Poly.zero(p.nvars)
     lead = a[-1]
@@ -256,7 +251,7 @@ def gcd_univariate(p: Poly, q: Poly) -> Poly:
     for e, coeff in enumerate(a):
         if coeff:
             exps = tuple(e if i == var else 0 for i in range(p.nvars))
-            terms[exps] = coeff / lead
+            terms[exps] = Fraction(coeff, lead)
     return Poly(p.nvars, terms)
 
 
@@ -317,7 +312,7 @@ class PencilExpansion:
     + t^3 q3(v) identically.
     """
 
-    point: tuple[Fraction, ...]
+    point: tuple[int | Fraction, ...]
     pivot: int
     q1: Poly
     q2: Poly
@@ -333,7 +328,7 @@ class LineCountReport:
     squarefree: bool
     no_loss_at_infinity: bool
     full_fibre_degrees: bool
-    resultant: tuple[Fraction, ...]
+    resultant: tuple[int | Fraction, ...]
 
 
 def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
@@ -342,7 +337,7 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
         raise DimensionMismatchError("a cubic form in five variables is required")
     if f.total_degree() > 3:
         raise ValueError("total degree must be at most 3")
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(_exact(x) for x in point)
     if len(point) != 5:
         raise DimensionMismatchError("the point needs five coordinates")
     if all(x == 0 for x in point):
@@ -380,21 +375,23 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
     linear = {exps.index(1): coeff for exps, coeff in expansion.q1.terms.items()}
     eliminated = min(linear)
     lead = linear[eliminated]
+    chart, survivor, resultant_var = sorted(
+        set(range(5)) - {expansion.pivot, eliminated}
+    )
+    # One substitution restricts to the plane q1 = 0 and to the chart = 1.
+    # q2 and q3 are homogeneous, so a form vanishes on the plane exactly
+    # when it vanishes on the chart.
+    plane = [Poly.variable(v, 5) for v in range(5)]
+    plane[chart] = Poly.constant(1, 5)
     solved = Poly.zero(5)
     for var, coeff in linear.items():
         if var != eliminated:
-            solved = solved + Poly.variable(var, 5) * (-coeff / lead)
-    conic = expansion.q2.substitute(eliminated, solved)
-    cubic = expansion.q3.substitute(eliminated, solved)
-    if conic.is_zero or cubic.is_zero:
+            solved = solved + plane[var] * Fraction(-coeff, lead)
+    plane[eliminated] = solved
+    conic_affine = expansion.q2.compose(plane)
+    cubic_affine = expansion.q3.compose(plane)
+    if conic_affine.is_zero or cubic_affine.is_zero:
         raise DegenerateError("a restricted form vanishes identically")
-    active = sorted(
-        set(range(5)) - {expansion.pivot, eliminated}
-    )
-    chart, survivor, resultant_var = active
-    one = Poly.constant(1, 5)
-    conic_affine = conic.substitute(chart, one)
-    cubic_affine = cubic.substitute(chart, one)
     d_conic = conic_affine.degree_in(resultant_var)
     d_cubic = cubic_affine.degree_in(resultant_var)
     full_degrees = d_conic == 2 and d_cubic == 3
@@ -458,7 +455,7 @@ def sample_cubic_instance(seed: int, bound: int = 9) -> tuple[Poly, tuple[int, .
             continue
         coeff = rng.randint(-bound, bound)
         if coeff:
-            terms[exps] = Fraction(coeff)
+            terms[exps] = coeff
     return Poly(5, terms), BASE_POINT
 
 

@@ -221,18 +221,6 @@ def quotient_hyperplane_support(fan: Fan) -> SupportFunction:
 
 
 @dataclass(frozen=True)
-class ExtensionSample:
-    new_ray_values: tuple[int, ...]
-    cartier: bool
-    contained: bool | None
-    count: int | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.cartier or (bool(self.contained) and self.count is not None)
-
-
-@dataclass(frozen=True)
 class ExtensionReport:
     """Outcome of sampling integral extensions of a support function to a
     refinement of its fan."""

@@ -246,13 +246,13 @@ def validate_fan(fan: Fan) -> ValidationReport:
         elif all(len(fan.rays[i]) == fan.dim for i in cone):
             # A ray of the wrong length is already reported above.
             rays = tuple(fan.rays[i] for i in cone)
-            if len(cone) == fan.dim:
-                try:
-                    kernel = cone_kernel(rays)
-                except InfiniteIndexError:
-                    violations.append(f"cone {cidx} is not simplicial")
-            elif 0 in invariant_factors(rays):
+            try:
+                _multiplicity(rays)
+            except InfiniteIndexError:
                 violations.append(f"cone {cidx} is not simplicial")
+            else:
+                if len(cone) == fan.dim:
+                    kernel = cone_kernel(rays)  # a cache hit after _multiplicity
         first.setdefault(cone, cidx)
         kernels.append(kernel)
     used = {i for cone in fan.max_cones for i in cone}

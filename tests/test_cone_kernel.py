@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import quasilines
 from conftest import determinant, fraction_box_lattice_points, gauss_jordan_solve
-from quasilines import cli, fans, lattice, models
+from quasilines import cli, divisors, fans, lattice, models
+from quasilines.cubic import Poly
 from quasilines.divisors import SupportFunction, cartier_certificate
 from quasilines.fans import (
     Fan,
@@ -186,5 +187,8 @@ def test_deleted_names_stay_gone():
         # The class of an error decides its exit code (quasilines.errors).
         (cli, "MATH_ERRORS"),
         (cli, "_RECORD_KEYS"),
+        # One compose per form restricts to the plane and the chart.
+        (Poly, "substitute"),
+        (divisors, "ExtensionSample"),
     ]:
         assert not hasattr(module, name), name

@@ -284,6 +284,39 @@ class TestNonIntegerScalars:
         assert run(shlex.split(argv)) == (1, _usage(detail))
 
 
+class TestRecordName:
+    """The record name is text; a list, a number or a flag is rejected."""
+
+    @pytest.mark.parametrize("doc", [
+        # Printed as a "record:" list block before.
+        "name:\n- a\n- b\ne: 6\n",
+        # Printed as an empty "record:" block before.
+        "name:\ne: 6\n",
+        # Printed as "record: 1/2" before.
+        "name: 2/4\ne: 6\n",
+        # Printed as "record: 42" before.
+        "name: 042\ne: 6\n",
+        "name: true\ne: 6\n",
+        "name: x 3\ne: 6\n",
+    ], ids=["list", "empty", "fraction", "leading-zero", "bool", "mixed-words"])
+    def test_non_text_name_rejected(self, workdir, doc):
+        (workdir / "doc.txt").write_text(doc)
+        assert run(["models", "--file", "doc.txt"]) == (
+            1, _usage("record field 'name' must be text")
+        )
+
+    @pytest.mark.parametrize("doc,name", [
+        ("name: my record\ne: 6\n", "my record"),
+        ("name: cubic\ne: 6\n", "cubic"),
+        ("e: 6\n", "doc"),
+    ], ids=["words", "word", "file-stem"])
+    def test_text_name_printed(self, workdir, doc, name):
+        (workdir / "doc.txt").write_text(doc)
+        code, out = run(["models", "--file", "doc.txt", "--format", "structured"])
+        assert code == 0
+        assert f"\nrecord: {name}\n" in out
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("argv,detail", [
         ("models --file sub", "[Errno 21] Is a directory: 'sub'"),
