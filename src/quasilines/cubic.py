@@ -146,18 +146,25 @@ class Poly:
         return total
 
     def compose(self, replacements) -> "Poly":
-        """Substitute replacement polynomials for every variable."""
+        """Substitute replacement polynomials for every variable.
+
+        Each replacement's powers are built once per call, in ascending
+        order, as ``**`` builds them, and shared by every term.
+        """
         if len(replacements) != self.nvars:
             raise DimensionMismatchError("one replacement per variable is required")
         nvars = replacements[0].nvars
         if any(r.nvars != nvars for r in replacements):
             raise DimensionMismatchError("replacements live in different rings")
+        powers = [[Poly.constant(1, nvars)] for _ in replacements]
         result = Poly.zero(nvars)
         for exps, coeff in self.terms.items():
             term = Poly.constant(coeff, nvars)
-            for repl, e in zip(replacements, exps):
+            for repl, table, e in zip(replacements, powers, exps):
                 if e:
-                    term = term * repl ** e
+                    while len(table) <= e:
+                        table.append(table[-1] * repl)
+                    term = term * table[e]
             result = result + term
         return result
 

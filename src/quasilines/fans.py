@@ -7,7 +7,11 @@ is its multiplicity; smaller cones go through the Smith normal form, which
 also enumerates, in integers, the lattice points of a cone's half-open box.
 Validation accepts a complete fan of full-dimensional cones by a
 facet-pairing certificate on the same kernels; any other fan is decided by a
-Fourier-Motzkin test per pair of cones.  The module also builds the fans of
+Fourier-Motzkin test per pair of cones.  Cones of a valid fan meet face to
+face, so a point lies in exactly the cones through its carrier face: the
+desingularizer keeps the cones through each ray and scores and subdivides
+each candidate ray on that star alone, and the toric-morphism test finds
+the cones holding each image ray once.  The module also builds the fans of
 projective space and of its cyclic quotient of order n+1, together with the
 lattice inclusion realising the quotient map.
 """
@@ -49,6 +53,15 @@ class OutsideSupportError(QuasilinesError, ValueError):
 
 class NotMaximalError(UsageError):
     """Cone multiplicity is defined here only for full-dimensional cones."""
+
+
+# Largest number of stellar subdivisions one desingularization may run.
+DESINGULARIZATION_STEP_BUDGET = 10_000
+
+
+class DesingularizationBudgetError(QuasilinesError):
+    """Desingularization needed more than ``DESINGULARIZATION_STEP_BUDGET``
+    stellar subdivisions."""
 
 
 @dataclass(frozen=True)
@@ -269,9 +282,10 @@ def validate_fan(fan: Fan) -> ValidationReport:
 def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
     """Star subdivision of ``fan`` at the primitive lattice point ``w``.
 
-    Every maximal cone containing ``w`` is replaced by the joins of ``w``
-    with its facets not containing ``w``; cones away from ``w`` survive
-    unchanged.  Subdividing at an existing ray returns an equal fan.
+    Every maximal cone containing ``w``, found by scanning every cone, is
+    replaced by the joins of ``w`` with its facets not containing ``w``;
+    cones away from ``w`` survive unchanged.  Subdividing at an existing ray
+    returns an equal fan.
     """
     w = tuple(int(x) for x in w)
     if all(x == 0 for x in w):
@@ -279,11 +293,11 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
     if primitive(w) != w:
         raise ValueError("subdivision point must be primitive")
     hit = {cone: cone_coordinates(fan, cone, w) for cone in fan.max_cones}
-    containing = {
-        cone for cone, coords in hit.items()
+    star = {
+        cone: coords for cone, coords in hit.items()
         if coords is not None and all(c >= 0 for c in coords)
     }
-    if not containing:
+    if not star:
         raise OutsideSupportError(f"{w} lies outside the support of the fan")
     if w in fan.rays:
         w_index = fan.rays.index(w)
@@ -291,17 +305,24 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
     else:
         w_index = len(fan.rays)
         new_rays = fan.rays + (w,)
-    new_cones: set[Cone] = set()
-    for cone in fan.max_cones:
-        if cone not in containing:
-            new_cones.add(cone)
-            continue
-        coords = hit[cone]
+    new_cones = {cone for cone in fan.max_cones if cone not in star}
+    new_cones.update(child for child, _ in _star_children(star.items(), w_index))
+    return Fan(fan.dim, new_rays, tuple(sorted(new_cones)))
+
+
+def _star_children(star, w_index: int):
+    """Cones that replace the star of a point w in a stellar subdivision.
+
+    ``star`` holds (cone, coordinates of w) pairs with nonnegative
+    coordinates, and ``w_index`` is the ray index of w.  Each cone gives
+    the join of w with its facet opposite each ray of positive coordinate;
+    the child is yielded with that coordinate, which for a full-dimensional
+    cone's kernel coordinates is the child's multiplicity (Cramer's rule).
+    """
+    for cone, coords in star:
         for ray_idx, coeff in zip(cone, coords):
             if coeff > 0:
-                child = tuple(sorted(set(cone) - {ray_idx} | {w_index}))
-                new_cones.add(child)
-    return Fan(fan.dim, new_rays, tuple(sorted(new_cones)))
+                yield tuple(sorted(set(cone) - {ray_idx} | {w_index})), coeff
 
 
 def _box_lattice_points(rays: tuple[Vec, ...]) -> set[Vec]:
@@ -332,6 +353,18 @@ def _box_lattice_points(rays: tuple[Vec, ...]) -> set[Vec]:
     return points
 
 
+def _carrier_star(holders: dict[int, set[Cone]], cone: Cone, coords) -> set[Cone]:
+    """The cones through the carrier face of a point of ``cone``.
+
+    ``coords`` are the point's coordinates in ``cone``, and the carrier face
+    is spanned by the rays of positive coordinate; ``holders`` maps each ray
+    index to the cones through it.  In a valid fan the point lies in the
+    relative interior of its carrier face, so these are exactly the cones
+    that contain it.
+    """
+    return set.intersection(*(holders[i] for i, c in zip(cone, coords) if c > 0))
+
+
 def desingularize(fan: Fan) -> Fan:
     """Refine ``fan`` by stellar subdivisions until every cone is smooth.
 
@@ -339,58 +372,97 @@ def desingularize(fan: Fan) -> Fan:
     the lexicographically smallest index tuple), enumerate in integers the
     lattice points of its half-open generator parallelepiped, and subdivide
     at the primitive candidate minimising the largest multiplicity among the
-    cones the subdivision creates, ties again lexicographic.  A
-    full-dimensional cone's multiplicity is its kernel's d, and a candidate's
-    kernel coordinates are the multiplicities of its children.  Each child
+    cones the subdivision creates, ties again lexicographic.  Each child
     cone has strictly smaller multiplicity than its parent, so the procedure
-    terminates; the support and the original rays are preserved.
+    terminates; the support and the original rays are preserved.  More than
+    ``DESINGULARIZATION_STEP_BUDGET`` subdivisions raise
+    ``DesingularizationBudgetError``.  A smooth input is returned as is.
+
+    ``fan`` must be valid (see ``validate_fan``): its cones meet face to
+    face, so a candidate w lies in exactly the cones that contain its
+    carrier face F, the face of the target cone spanned by the rays on
+    which w has a positive coordinate.  The cones through each ray are kept
+    from step to step, and star(F) is the intersection of those sets over
+    F; w is scored and the fan subdivided on star(F) alone.  A
+    full-dimensional cone's multiplicity is its kernel's d, and a
+    candidate's kernel coordinates are the multiplicities of its children,
+    so a step computes the multiplicity of a lower-dimensional child only.
     """
-    current = fan
+    dim, rays = fan.dim, fan.rays
+    mults = {cone: _multiplicity(tuple(rays[i] for i in cone)) for cone in fan.max_cones}
+    holders: dict[int, set[Cone]] = {}
+    for cone in mults:
+        for i in cone:
+            holders.setdefault(i, set()).add(cone)
+    steps = 0
     while True:
-        mults = {
-            cone: _multiplicity(tuple(current.rays[i] for i in cone))
-            for cone in current.max_cones
-        }
         worst = max(mults.values(), default=1)
         if worst == 1:
-            return current
+            return Fan(dim, rays, tuple(sorted(mults))) if steps else fan
+        if steps == DESINGULARIZATION_STEP_BUDGET:
+            raise DesingularizationBudgetError(
+                f"desingularization needs more than {steps} stellar subdivisions, "
+                f"over the budget DESINGULARIZATION_STEP_BUDGET = "
+                f"{DESINGULARIZATION_STEP_BUDGET}"
+            )
+        steps += 1
+        current = Fan(dim, rays, tuple(mults))
+        w_index = len(rays)
         target = min(cone for cone, m in mults.items() if m == worst)
-        target_rays = tuple(current.rays[i] for i in target)
+        target_rays = tuple(rays[i] for i in target)
         candidates = sorted({primitive(p) for p in _box_lattice_points(target_rays)})
-        best_w = None
-        best_score = None
+        best = None
         for w in candidates:
-            score = 0
-            for cone in current.max_cones:
-                coords = cone_coordinates(current, cone, w)
-                if coords is None or any(c < 0 for c in coords):
-                    continue
-                if len(cone) == current.dim:
-                    # coords[pos] is the multiplicity of the child cone
-                    # that replaces ray pos by w.
-                    score = max(score, *coords)
-                    continue
-                rays = tuple(current.rays[i] for i in cone)
-                for pos, coeff in enumerate(coords):
-                    if coeff > 0:
-                        child = rays[:pos] + (w,) + rays[pos + 1:]
-                        score = max(score, _multiplicity(child))
-            if best_score is None or score < best_score:
-                best_score, best_w = score, w
-        assert best_w is not None
-        current = stellar_subdivide(current, best_w)
+            coords = cone_coordinates(current, target, w)
+            star = {target: coords}
+            for cone in _carrier_star(holders, target, coords) - {target}:
+                star[cone] = cone_coordinates(current, cone, w)
+            children = {
+                child: coeff if len(child) == dim else _multiplicity(
+                    tuple(w if i == w_index else rays[i] for i in child)
+                )
+                for child, coeff in _star_children(star.items(), w_index)
+            }
+            score = max(children.values())
+            if best is None or score < best[0]:
+                best = (score, w, star, children)
+        assert best is not None
+        _, w, star, children = best
+        rays += (w,)
+        for cone in star:
+            del mults[cone]
+            for i in cone:
+                holders[i].discard(cone)
+        for child, m in children.items():
+            mults[child] = m
+            for i in child:
+                holders.setdefault(i, set()).add(child)
 
 
 def is_toric_morphism(hom: LatticeHom, src: Fan, dst: Fan) -> bool:
-    """True when the hom maps every cone of ``src`` into some cone of ``dst``."""
+    """True when the hom maps every cone of ``src`` into some cone of ``dst``.
+
+    A cone maps into a cone exactly when the images of its rays lie there.
+    So the set of ``dst`` cones that contain each distinct image of a ray
+    is computed once, and a source cone maps into the fan exactly when the
+    sets of its rays' images share a cone.  Neither fan needs to be valid,
+    but every ``dst`` cone is tested, so a full-dimensional one with
+    dependent rays raises ``InfiniteIndexError`` whatever the cone order.
+    """
     if len(hom) != dst.dim or any(len(row) != src.dim for row in hom):
         raise ValueError("lattice hom dimensions do not match the fans")
+    holders: dict[Vec, frozenset[Cone]] = {}
     for cone in src.max_cones:
         images = [mat_vec(hom, src.rays[i]) for i in cone]
-        if not any(
-            all(cone_contains(dst, candidate, img) for img in images)
-            for candidate in dst.max_cones
-        ):
+        common = frozenset(dst.max_cones)
+        for img in images:
+            if img not in holders:
+                holders[img] = frozenset(
+                    candidate for candidate in dst.max_cones
+                    if cone_contains(dst, candidate, img)
+                )
+            common &= holders[img]
+        if not common:
             return False
     return True
 

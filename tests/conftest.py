@@ -4,12 +4,20 @@ import itertools
 from fractions import Fraction
 
 from quasilines.divisors import SectionsPolyhedron
-from quasilines.fans import cone_contains
+from quasilines.fans import (
+    _box_lattice_points,
+    _multiplicity,
+    cone_contains,
+    cone_coordinates,
+    stellar_subdivide,
+)
 from quasilines.lattice import (
     InfiniteIndexError,
     LinearSolution,
     NoSolutionError,
     fm_feasible,
+    mat_vec,
+    primitive,
     smith_normal_form,
 )
 
@@ -177,3 +185,60 @@ def fraction_box_lattice_points(rays):
         if any(c != 0 for c in coords):
             points.add(tuple(int(c) for c in coords))
     return points
+
+
+def scan_desingularize(fan):
+    """Reference for ``fans.desingularize``: the same choice of target cone
+    and ray, but every candidate is scored against every maximal cone, the
+    multiplicities are recomputed for every cone at every step, and each
+    step is a whole-fan ``stellar_subdivide``.  Needs no valid fan and no
+    budget."""
+    current = fan
+    while True:
+        mults = {
+            cone: _multiplicity(tuple(current.rays[i] for i in cone))
+            for cone in current.max_cones
+        }
+        worst = max(mults.values(), default=1)
+        if worst == 1:
+            return current
+        target = min(cone for cone, m in mults.items() if m == worst)
+        target_rays = tuple(current.rays[i] for i in target)
+        candidates = sorted({primitive(p) for p in _box_lattice_points(target_rays)})
+        best_w = None
+        best_score = None
+        for w in candidates:
+            score = 0
+            for cone in current.max_cones:
+                coords = cone_coordinates(current, cone, w)
+                if coords is None or any(c < 0 for c in coords):
+                    continue
+                if len(cone) == current.dim:
+                    # coords[pos] is the multiplicity of the child cone
+                    # that replaces ray pos by w.
+                    score = max(score, *coords)
+                    continue
+                rays = tuple(current.rays[i] for i in cone)
+                for pos, coeff in enumerate(coords):
+                    if coeff > 0:
+                        child = rays[:pos] + (w,) + rays[pos + 1:]
+                        score = max(score, _multiplicity(child))
+            if best_score is None or score < best_score:
+                best_score, best_w = score, w
+        assert best_w is not None
+        current = stellar_subdivide(current, best_w)
+
+
+def scan_is_toric_morphism(hom, src, dst):
+    """Reference for ``fans.is_toric_morphism``: one membership test per
+    (source cone, target cone, image ray)."""
+    if len(hom) != dst.dim or any(len(row) != src.dim for row in hom):
+        raise ValueError("lattice hom dimensions do not match the fans")
+    for cone in src.max_cones:
+        images = [mat_vec(hom, src.rays[i]) for i in cone]
+        if not any(
+            all(cone_contains(dst, candidate, img) for img in images)
+            for candidate in dst.max_cones
+        ):
+            return False
+    return True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from quasilines import lattice
+from quasilines import fans, lattice
 from quasilines.cli import main, run
 from quasilines.report import parse
 
@@ -409,6 +409,24 @@ class TestFourierMotzkinBudget:
         code, doc, _ = structured(["fan", "validate", str(fan_file)])
         assert code == 0
         assert doc["valid"] is True
+
+
+class TestDesingularizationBudget:
+    def test_exceeded_budget_exits_2(self, tmp_path, monkeypatch):
+        # The n = 3 quotient fan needs 10 subdivisions.
+        monkeypatch.setattr(fans, "DESINGULARIZATION_STEP_BUDGET", 1)
+        _, big, _ = fans.cyclic_quotient_fans(3)
+        fan_file = tmp_path / "quotient.txt"
+        fan_file.write_text(
+            "dim: 3\nrays:\n"
+            + "".join("- " + " ".join(map(str, ray)) + "\n" for ray in big.rays)
+            + "cones:\n"
+            + "".join("- " + " ".join(map(str, cone)) + "\n" for cone in big.max_cones)
+        )
+        code, doc, text = structured(["fan", "desingularize", str(fan_file)])
+        assert code == 2
+        assert doc["error"] == "DesingularizationBudgetError"
+        assert "DESINGULARIZATION_STEP_BUDGET = 1\n" in text
 
 
 class TestMainAndOutput:

@@ -379,6 +379,7 @@ ERROR_CLASSES = [
     ("lattice", "NoSolutionError", 2, ValueError),
     ("lattice", "FourierMotzkinBudgetError", 2, None),
     ("fans", "OutsideSupportError", 2, ValueError),
+    ("fans", "DesingularizationBudgetError", 2, None),
     ("divisors", "NotMorphismError", 2, ValueError),
     ("divisors", "NotCartierError", 2, ValueError),
     ("divisors", "UnboundedPolyhedronError", 2, None),

@@ -1,5 +1,6 @@
 """Tests for simplicial fans, subdivision and the cyclic quotient fans."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import supports_agree
+from conftest import scan_desingularize, scan_is_toric_morphism, supports_agree
 from quasilines.fans import (
     BadDimensionError,
     Fan,
     NotMaximalError,
     OutsideSupportError,
     _box_lattice_points,
+    _carrier_star,
     _certifies_complete,
     _meet_in_common_face,
     cone_contains,
@@ -179,6 +181,20 @@ class TestDesingularize:
         smooth = desingularize(big)
         assert (len(smooth.rays), len(smooth.max_cones)) == (rays, cones)
 
+    @pytest.mark.parametrize("n,digest", [
+        (2, "fe273d8c76dc66448caa6522eae762ff75db5ae5c4bac4cfcf7a2a58e773df88"),
+        (3, "9e4321dc44cc44e28d866a1de369ac8e22aeb49db168e0b2b340889eec137e9a"),
+        (4, "641836e5aeea5ee6a368d771dddd1e97b3d9578dfd758c4b3bd92f3b62d6577b"),
+        (5, "a70a7ad53cc3759789959f504befb05235f6baf00ee8c1d5393b6f6dbccc5768"),
+        (6, "66ced54eff22b07f8d189202970582f6f350e3903591bf1f73d511c261910f89"),
+        (7, "8fa06343e3126f02e394c8af495956db0312bb8091c8a2b3536dfc02fafaef7b"),
+    ])
+    def test_quotient_refinement_bytes(self, n, digest):
+        # SHA-256 of repr of each refinement as the whole-fan scan chose it:
+        # the rays, their order and the cone order are pinned.
+        smooth = desingularize(cyclic_quotient_fans(n)[1])
+        assert hashlib.sha256(repr(smooth).encode()).hexdigest() == digest
+
 
 class TestToricMorphism:
     def test_identity(self):
@@ -236,16 +252,20 @@ def pairwise_accepts(fan):
 CORRUPTIONS = ("none", "drop", "duplicate", "nudge", "flip", "swap", "one-sided")
 
 
+def lattice_points(n):
+    return st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+
+
 @st.composite
-def subdivided_fans(draw):
+def subdivided_fans(draw, corruptions=CORRUPTIONS):
     """A complete fan from random stellar subdivisions of a quotient fan
-    pair, n = 2..4, and the name of the corruption applied to it."""
+    pair, n = 2..4, and the name of the corruption, drawn from
+    ``corruptions``, applied to it."""
     n = draw(st.integers(2, 4))
     fan = draw(st.sampled_from(cyclic_quotient_fans(n)[:2]))
-    points = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
-    for w in draw(st.lists(points, max_size=3)):
+    for w in draw(st.lists(lattice_points(n), max_size=3)):
         fan = stellar_subdivide(fan, w)
-    corruption = draw(st.sampled_from(CORRUPTIONS))
+    corruption = draw(st.sampled_from(corruptions))
     cones = list(fan.max_cones)
     k = draw(st.integers(0, len(cones) - 1))
     rays = list(fan.rays)
@@ -291,3 +311,67 @@ class TestCompletenessCertificate:
             assert validate_fan(fan).valid
         if corruption == "duplicate":
             assert not validate_fan(fan).valid
+
+
+VALID_FANS = subdivided_fans(("none",))
+
+
+@st.composite
+def points_on_faces(draw):
+    """A valid complete fan, one of its cones, and a primitive positive
+    combination of a nonempty subset of that cone's rays."""
+    fan, _ = draw(VALID_FANS)
+    cone = draw(st.sampled_from(fan.max_cones))
+    face = draw(st.lists(st.sampled_from(cone), min_size=1, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(face), max_size=len(face)))
+    w = tuple(
+        sum(c * fan.rays[i][j] for c, i in zip(weights, face)) for j in range(fan.dim)
+    )
+    return fan, cone, primitive(w)
+
+
+@st.composite
+def fan_homs(draw):
+    """A lattice hom between two valid complete fans: a multiple of the
+    identity on a refinement of the target, so that some are toric
+    morphisms, or a random small integer matrix."""
+    dst, _ = draw(VALID_FANS)
+    if draw(st.booleans()):
+        src = dst
+        for w in draw(st.lists(lattice_points(dst.dim), max_size=2)):
+            src = stellar_subdivide(src, w)
+        k = draw(st.integers(0, 2))
+        hom = tuple(tuple(k * (i == j) for j in range(dst.dim)) for i in range(dst.dim))
+    else:
+        src, _ = draw(VALID_FANS)
+        row = st.tuples(*[st.integers(-1, 1)] * src.dim)
+        hom = draw(st.tuples(*[row] * dst.dim))
+    return hom, src, dst
+
+
+class TestStarAgainstScan:
+    """The star lookups of ``desingularize`` and ``is_toric_morphism``
+    against the whole-fan scans they replace (``conftest``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(points_on_faces())
+    def test_carrier_star_is_the_containing_cones(self, case):
+        fan, cone, w = case
+        holders = {}
+        for other in fan.max_cones:
+            for i in other:
+                holders.setdefault(i, set()).add(other)
+        star = _carrier_star(holders, cone, cone_coordinates(fan, cone, w))
+        assert star == {other for other in fan.max_cones if cone_contains(fan, other, w)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(VALID_FANS)
+    def test_desingularize_equals_scan(self, case):
+        fan, _ = case
+        assert desingularize(fan) == scan_desingularize(fan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fan_homs())
+    def test_is_toric_morphism_equals_scan(self, case):
+        hom, src, dst = case
+        assert is_toric_morphism(hom, src, dst) == scan_is_toric_morphism(hom, src, dst)
