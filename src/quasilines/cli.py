@@ -6,6 +6,16 @@ cartier | h0).  Reports are line-oriented key/value documents with stable
 field order; an identical configuration renders to byte-identical
 structured output, and every header carries the seed in use.
 
+One table, ``_COMMANDS``, lists each command's positionals and options, and
+one scanner, ``quasilines.argscan``, reads argv against it.  A flag takes
+one value, as ``--flag v`` or ``--flag=v``, and its last occurrence wins; a
+unique prefix names a flag (``--s`` is ``--seed`` on ``appendix``,
+ambiguous on ``lemma-a2``); a plain negative number such as ``-3`` is a
+value, ``-1,1`` needs ``--flag=-1,1``; ``--`` ends the options.  A fan file
+may come before or after the options, and a ``--flag=--`` value is the text
+``--``.  ``-h``/``--help`` returns the usage of the program or of a command
+with exit 0.
+
 Exit codes: 0 success, 1 usage or parse failure, 2 mathematical error
 condition, 3 internal failure.  The class of an error decides its code (see
 ``quasilines.errors``): a ``UsageError`` exits 1 with a usage report on
@@ -16,12 +26,13 @@ never a traceback.  A models contradiction also exits 2.
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import sys
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
+from .argscan import ONE, OPTIONAL, REST, scan
 from .bundles import (
     DivisorData,
     InapplicableReductionError,
@@ -67,11 +78,6 @@ MAX_QUOTIENT_N = 12
 MAX_LEMMA_N = 5
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); remap to exit 1
-        raise UsageError(message)
-
-
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     values = []
     for position, token in enumerate(text.split(","), start=1):
@@ -85,55 +91,91 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("human", "structured"), default="human")
-    common.add_argument("--out", type=str, default=None)
+# The command table: each command's one-line summary, its positionals and
+# its options, in the form ``argscan`` reads.  Every command also takes the
+# common options and -h/--help.
+_COMMON = {
+    "--seed": ("seed", int, 0, False),
+    "--format": ("format", ("human", "structured"), "human", False),
+    "--out": ("out", str, None, False),
+}
+_COMMANDS = {
+    "appendix": ("quotient fans, Cartier dichotomy and section count", (), {
+        "--n": ("n", int, None, True),
+    }),
+    "lemma-a2": ("sampled divisor extensions on the smooth refinement", (), {
+        "--n": ("n", int, None, True),
+        "--bound": ("bound", int, 5, False),
+        "--samples": ("samples", int, 100, False),
+    }),
+    "bundle": ("splitting-type calculus", (
+        ("subop", ("elm", "plan", "self-int", "recover", "cor17", "thm41", "thm16", "point"),
+         ONE),
+    ), {
+        "--type": ("type_", str, None, False),
+        "--targets": ("targets", str, None, False),
+        "--anchor": ("anchor", int, None, False),
+        "--d": ("d", int, None, False),
+        "--dimD": ("dim_d", int, None, False),
+        "--n": ("n", int, None, False),
+        "--quasiline": ("quasiline", ("true", "false"), None, False),
+    }),
+    "cubic": ("certified line count through a point of a cubic threefold", (), {
+        "--bound": ("bound", int, 9, False),
+        "--demo": ("demo", ("reducible",), None, False),
+    }),
+    "models": ("invariant propagation on a record file or a builtin record: "
+               + ", ".join(sorted(BUILTIN_RECORDS)), (("record", None, OPTIONAL),), {
+        "--file": ("file", str, None, False),
+        "--n": ("n", int, None, False),
+    }),
+    "fan": ("fan file operations", (
+        ("subop", ("validate", "desingularize", "cartier", "h0"), ONE),
+        ("fanfile", None, OPTIONAL),
+    ), {
+        "--values": ("values", str, None, False),
+        "--divisor": ("divisor", str, None, False),
+    }),
+}
+_TOP = (("command", {name: (positionals, {**_COMMON, **options})
+                     for name, (_, positionals, options) in _COMMANDS.items()}, REST),)
 
-    parser = _Parser(prog="quasilines", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("appendix", parents=[common],
-                       help="quotient fans, Cartier dichotomy and section count")
-    p.add_argument("--n", type=int, required=True)
+def parse_args(argv) -> SimpleNamespace | str:
+    """The arguments of one command line, or the help text when -h/--help
+    comes before any error; raises ``UsageError`` otherwise."""
+    values: dict = {}
+    extras = scan(list(argv), _TOP, {}, values)
+    if extras is None:
+        return help_text(values["command"])
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
-    p = sub.add_parser("lemma-a2", parents=[common],
-                       help="sampled divisor extensions on the smooth refinement")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--samples", type=int, default=100)
 
-    p = sub.add_parser("bundle", parents=[common], help="splitting-type calculus")
-    p.add_argument("subop", choices=(
-        "elm", "plan", "self-int", "recover", "cor17", "thm41", "thm16", "point",
-    ))
-    p.add_argument("--type", dest="type_", type=str, default=None)
-    p.add_argument("--targets", type=str, default=None)
-    p.add_argument("--anchor", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--dimD", dest="dim_d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--quasiline", choices=("true", "false"), default=None)
-
-    p = sub.add_parser("cubic", parents=[common],
-                       help="certified line count through a point of a cubic threefold")
-    p.add_argument("--bound", type=int, default=9)
-    p.add_argument("--demo", choices=("reducible",), default=None)
-
-    p = sub.add_parser("models", parents=[common], help="invariant propagation")
-    p.add_argument("record", nargs="?", default=None,
-                   help="builtin record name: " + ", ".join(sorted(BUILTIN_RECORDS)))
-    p.add_argument("--file", type=str, default=None)
-    p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("fan", parents=[common], help="fan file operations")
-    p.add_argument("subop", choices=("validate", "desingularize", "cartier", "h0"))
-    p.add_argument("fanfile", nargs="?", default=None)
-    p.add_argument("--values", type=str, default=None)
-    p.add_argument("--divisor", type=str, default=None)
-
-    return parser
+def help_text(command: str | None) -> str:
+    """Usage of ``command``, or of the program when it is None, from the
+    command table."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join([
+            "usage: quasilines <command> [options]", "", "commands:",
+            *(f"  {name:<{width}}  {summary}" for name, (summary, _, _) in _COMMANDS.items()),
+            "", "Run 'quasilines <command> -h' for the options of a command.", "",
+        ])
+    summary, positionals, options = _COMMANDS[command]
+    words = ["{" + ",".join(choices) + "}" if kind == ONE else f"[{dest}]"
+             for dest, choices, kind in positionals]
+    rows = [("-h, --help", "show this help and exit")]
+    for flag, (_, kind, default, required) in {**_COMMON, **options}.items():
+        shown = kind.__name__.upper() if isinstance(kind, type) else "{" + ",".join(kind) + "}"
+        note = "required" if required else "" if default is None else f"default {default}"
+        rows.append((f"{flag} {shown}", note))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([
+        " ".join(["usage: quasilines", command, *words, "[options]"]), "", summary, "",
+        "options:", *(f"  {left:<{width}}  {note}".rstrip() for left, note in rows), "",
+    ])
 
 
 def _read_doc(path) -> dict:
@@ -513,10 +555,13 @@ def _usage_report(exc: Exception) -> tuple[int, str]:
 
 
 def run(argv) -> tuple[int, str]:
-    """Execute one command; returns (exit code, rendered report).  The class
-    of a failure decides the code, as the module docstring says."""
+    """Execute one command; returns (exit code, rendered report), or (0,
+    usage text) for -h/--help.  The class of a failure decides the code, as
+    the module docstring says."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
+        if isinstance(args, str):
+            return 0, args
         entries, code = _DISPATCH[args.command](args)
         body = render(entries)
     except UsageError as exc:

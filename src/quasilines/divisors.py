@@ -40,6 +40,14 @@ class UnboundedPolyhedronError(QuasilinesError):
     """The sections polyhedron has a nontrivial recession cone."""
 
 
+# Largest number of lattice points one count may enumerate.
+LATTICE_POINT_BUDGET = 100_000
+
+
+class LatticePointBudgetError(QuasilinesError):
+    """A lattice-point count has more than ``LATTICE_POINT_BUDGET`` points."""
+
+
 @dataclass(frozen=True)
 class SupportFunction:
     """One integer value per ray of the fan, value(v_i) = -a_i."""
@@ -190,6 +198,8 @@ def _enumerate_points(bounds, prefix: Vec, points: list[Vec]) -> None:
 
     A level row c * u_k + <coeffs, prefix> >= rhs bounds u_k from below
     when c > 0 and from above when c < 0; one integer division each.
+    Raises ``LatticePointBudgetError`` before the points pass
+    ``LATTICE_POINT_BUDGET``.
     """
     lower, upper = bounds[len(prefix)]
     lo = max(
@@ -201,6 +211,12 @@ def _enumerate_points(bounds, prefix: Vec, points: list[Vec]) -> None:
         for coeffs, c, rhs in upper
     )
     last = len(prefix) + 1 == len(bounds)
+    reached = len(points) + hi - lo + 1
+    if last and reached > LATTICE_POINT_BUDGET:
+        raise LatticePointBudgetError(
+            f"lattice-point enumeration reached {reached} points, "
+            f"over the budget LATTICE_POINT_BUDGET = {LATTICE_POINT_BUDGET}"
+        )
     for value in range(lo, hi + 1):
         if last:
             points.append(prefix + (value,))

@@ -4,8 +4,9 @@ A document is a sequence of ``key: value`` lines; list values are written
 as a bare ``key:`` line followed by ``- item`` lines.  Scalars are ints,
 reduced fractions (``-2/3``), the words ``true``/``false``, or plain
 strings; an item holding several whitespace-separated scalars parses as a
-tuple.  Field order is preserved exactly, so identical inputs render to
-byte-identical documents.
+tuple, and a bare ``-`` item, as an empty string or tuple renders, parses
+as the empty string.  Field order is preserved exactly, so identical inputs
+render to byte-identical documents.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def parse(text: str) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("- "):
+        if line == "-" or line.startswith("- "):
             if pending_key is None:
                 raise ParseError(number, "list item outside any list")
             result[pending_key].append(_parse_value(line[2:]))

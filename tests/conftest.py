@@ -1,9 +1,12 @@
 """Shared oracles for the test suite."""
 
+import argparse
 import itertools
 from fractions import Fraction
 
+from quasilines import cli
 from quasilines.divisors import SectionsPolyhedron
+from quasilines.errors import UsageError
 from quasilines.fans import (
     _box_lattice_points,
     _multiplicity,
@@ -20,6 +23,7 @@ from quasilines.lattice import (
     primitive,
     smith_normal_form,
 )
+from quasilines.models import BUILTIN_RECORDS
 
 
 def random_bounded_system(rng, dim):
@@ -242,3 +246,81 @@ def scan_is_toric_morphism(hom, src, dst):
         ):
             return False
     return True
+
+
+# Reference for ``cli.parse_args``: the argparse parser the command line
+# used before its table-driven scanner, unchanged.
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit(2); remap to exit 1
+        raise UsageError(message)
+
+
+def build_parser() -> _Parser:
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=("human", "structured"), default="human")
+    common.add_argument("--out", type=str, default=None)
+
+    parser = _Parser(prog="quasilines", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("appendix", parents=[common],
+                       help="quotient fans, Cartier dichotomy and section count")
+    p.add_argument("--n", type=int, required=True)
+
+    p = sub.add_parser("lemma-a2", parents=[common],
+                       help="sampled divisor extensions on the smooth refinement")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--samples", type=int, default=100)
+
+    p = sub.add_parser("bundle", parents=[common], help="splitting-type calculus")
+    p.add_argument("subop", choices=(
+        "elm", "plan", "self-int", "recover", "cor17", "thm41", "thm16", "point",
+    ))
+    p.add_argument("--type", dest="type_", type=str, default=None)
+    p.add_argument("--targets", type=str, default=None)
+    p.add_argument("--anchor", type=int, default=None)
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--dimD", dest="dim_d", type=int, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--quasiline", choices=("true", "false"), default=None)
+
+    p = sub.add_parser("cubic", parents=[common],
+                       help="certified line count through a point of a cubic threefold")
+    p.add_argument("--bound", type=int, default=9)
+    p.add_argument("--demo", choices=("reducible",), default=None)
+
+    p = sub.add_parser("models", parents=[common], help="invariant propagation")
+    p.add_argument("record", nargs="?", default=None,
+                   help="builtin record name: " + ", ".join(sorted(BUILTIN_RECORDS)))
+    p.add_argument("--file", type=str, default=None)
+    p.add_argument("--n", type=int, default=None)
+
+    p = sub.add_parser("fan", parents=[common], help="fan file operations")
+    p.add_argument("subop", choices=("validate", "desingularize", "cartier", "h0"))
+    p.add_argument("fanfile", nargs="?", default=None)
+    p.add_argument("--values", type=str, default=None)
+    p.add_argument("--divisor", type=str, default=None)
+
+    return parser
+
+
+def fan_file_parser():
+    """``build_parser()`` with the one deliberate change of the scanner: an
+    optional positional that matches nothing stays pending, so the fan file
+    is read wherever it follows the subop."""
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    fan = commands.choices["fan"]
+    match = fan._match_arguments_partial
+
+    def pending_fan_file(actions, pattern):
+        counts = match(actions, pattern)
+        while counts and counts[-1] == 0 and actions[len(counts) - 1].nargs == "?":
+            counts.pop()
+        return counts
+
+    fan._match_arguments_partial = pending_fan_file
+    return parser

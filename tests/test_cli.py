@@ -2,7 +2,7 @@
 
 import pytest
 
-from quasilines import fans, lattice
+from quasilines import divisors, fans, lattice
 from quasilines.cli import main, run
 from quasilines.report import parse
 
@@ -427,6 +427,26 @@ class TestDesingularizationBudget:
         assert code == 2
         assert doc["error"] == "DesingularizationBudgetError"
         assert "DESINGULARIZATION_STEP_BUDGET = 1\n" in text
+
+
+class TestLatticePointBudget:
+    def test_exceeded_budget_exits_2(self, tmp_path, monkeypatch):
+        # O(1) on P^2 has 3 sections.
+        monkeypatch.setattr(divisors, "LATTICE_POINT_BUDGET", 1)
+        fan_file = tmp_path / "p2.txt"
+        fan_file.write_text(P2_FAN_DOC)
+        code, doc, text = structured(["fan", "h0", str(fan_file), "--values", "0,0,-1"])
+        assert (code, doc["error"]) == (2, "LatticePointBudgetError")
+        # The first row u_0 = 0 already holds 2 points.
+        assert text.endswith("detail: lattice-point enumeration reached 2 points, "
+                             "over the budget LATTICE_POINT_BUDGET = 1\n")
+
+    def test_count_at_the_budget_is_allowed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(divisors, "LATTICE_POINT_BUDGET", 3)
+        fan_file = tmp_path / "p2.txt"
+        fan_file.write_text(P2_FAN_DOC)
+        code, doc, _ = structured(["fan", "h0", str(fan_file), "--values", "0,0,-1"])
+        assert (code, doc["h0"]) == (0, 3)
 
 
 class TestMainAndOutput:

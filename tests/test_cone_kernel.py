@@ -190,5 +190,8 @@ def test_deleted_names_stay_gone():
         # One compose per form restricts to the plane and the chart.
         (Poly, "substitute"),
         (divisors, "ExtensionSample"),
+        # One table-driven scanner reads argv.
+        (cli, "build_parser"),
+        (cli, "_Parser"),
     ]:
         assert not hasattr(module, name), name

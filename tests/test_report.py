@@ -1,0 +1,39 @@
+"""The report format: every rendered document parses back to itself."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasilines.report import parse, render
+
+# Words that read back as words: not numbers, fractions, true or false.
+WORDS = st.tuples(st.sampled_from("abcdxyz"), st.text("abcdxyz019-", max_size=6)).map("".join)
+SCALARS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.booleans(),
+    WORDS,
+)
+TUPLES = st.lists(SCALARS, max_size=4).map(tuple)
+ITEMS = st.one_of(SCALARS, TUPLES, st.just(""))
+# A top-level value renders after "key: ", so it must not be empty there: an
+# empty value is written as an empty list.
+VALUES = st.one_of(SCALARS, TUPLES.filter(bool), st.lists(ITEMS, max_size=4))
+ENTRIES = st.lists(st.tuples(WORDS, VALUES), max_size=6, unique_by=lambda entry: entry[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENTRIES)
+def test_render_parse_render_is_render(entries):
+    text = render(entries)
+    assert render(list(parse(text).items())) == text
+
+
+@pytest.mark.parametrize("item", [(), ""], ids=["empty-tuple", "empty-string"])
+def test_empty_item_parses(item):
+    # Rejected before as "expected 'key: value', got '- '".
+    text = render([("a", [item, 1])])
+    assert text == "a:\n- \n- 1\n"
+    assert parse(text) == {"a": ["", 1]}
