@@ -43,8 +43,12 @@ class DegenerateError(QuasilinesError, ValueError):
     """Infinitely many solutions: the count is not defined."""
 
 
+# Largest number of seeded samples one conic count certificate may draw.
+CUBIC_RESAMPLE_BUDGET = 40
+
+
 class RetriesExhaustedError(QuasilinesError, RuntimeError):
-    """No generic sample was found within the retry budget."""
+    """No generic sample was found within ``CUBIC_RESAMPLE_BUDGET`` samples."""
 
 
 def _exact(value) -> int | Fraction:
@@ -491,12 +495,10 @@ class ConicCountCertificate:
     report: LineCountReport
 
 
-def conic_count_certificate(
-    seed: int, bound: int = 9, max_attempts: int = 40
-) -> ConicCountCertificate:
+def conic_count_certificate(seed: int, bound: int = 9) -> ConicCountCertificate:
     """Count lines through a seeded smooth point, reported as the conic
     invariant e via the secant correspondence; resamples until generic."""
-    for attempt in range(max_attempts):
+    for attempt in range(CUBIC_RESAMPLE_BUDGET):
         f, point = sample_cubic_instance(seed * 1000 + attempt, bound)
         try:
             report = count_lines_through_point(f, point)
@@ -511,4 +513,5 @@ def conic_count_certificate(
                 point=point,
                 report=report,
             )
-    raise RetriesExhaustedError(f"no generic sample found for seed {seed}")
+    raise RetriesExhaustedError(f"no generic sample found for seed {seed} within the budget "
+                                f"CUBIC_RESAMPLE_BUDGET = {CUBIC_RESAMPLE_BUDGET} attempts")

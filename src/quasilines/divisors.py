@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QuasilinesError, UsageError
-from .fans import Fan, cone_contains, cone_kernel, desingularize, is_toric_morphism
+from .fans import Cone, Fan, cone_contains, desingularize, is_toric_morphism
 from .lattice import (
     FracVec,
     Vec,
@@ -99,22 +99,22 @@ class LatticePointCount:
     points: tuple[Vec, ...]
 
 
-def _integral_cone_solution(rays: tuple[Vec, ...], rhs: tuple[int, ...]):
-    """Solve <m, ray_i> = rhs_i; return (m, None) when m is integral and
-    (None, m) with m rational otherwise.
+def _integral_cone_solution(fan: Fan, cone: Cone, rhs: tuple[int, ...]):
+    """Solve <m, ray_i> = rhs_i over the rays of ``cone``; return (m, None)
+    when m is integral and (None, m) with m rational otherwise.
 
     A full-dimensional cone with kernel (N, d) has the unique solution
     N^T rhs / d, integral exactly when d divides every entry.  A
     lower-dimensional cone takes the Smith-form particular solution.
     Simplicial generators make the system consistent by construction.
     """
-    if len(rays) == len(rays[0]):
-        inv, d = cone_kernel(rays)
+    if len(cone) == fan.dim:
+        inv, d = fan.kernel(cone)
         scaled = mat_vec(transpose(inv), rhs)
         if all(x % d == 0 for x in scaled):
             return tuple(x // d for x in scaled), None
         return None, tuple(Fraction(x, d) for x in scaled)
-    rational = solve_rational_linear(rays, rhs).x
+    rational = solve_rational_linear(tuple(fan.rays[i] for i in cone), rhs).x
     if all(val.denominator == 1 for val in rational):
         return tuple(int(val) for val in rational), None
     return None, rational
@@ -129,12 +129,11 @@ def cartier_certificate(psi: SupportFunction) -> CartierCertificate:
     fan = psi.fan
     duals: list[Vec] = []
     for index, cone in enumerate(fan.max_cones):
-        rays = tuple(fan.rays[i] for i in cone)
         rhs = tuple(psi.values[i] for i in cone)
-        integral, witness = _integral_cone_solution(rays, rhs)
+        integral, witness = _integral_cone_solution(fan, cone, rhs)
         if integral is None:
             return CartierCertificate(psi, None, index, witness)
-        assert all(dot(integral, ray) == val for ray, val in zip(rays, rhs))
+        assert all(dot(integral, fan.rays[i]) == val for i, val in zip(cone, rhs))
         duals.append(integral)
     return CartierCertificate(psi, tuple(duals), None, None)
 

@@ -11,16 +11,17 @@ Fourier-Motzkin test per pair of cones.  Cones of a valid fan meet face to
 face, so a point lies in exactly the cones through its carrier face: the
 desingularizer keeps the cones through each ray and scores and subdivides
 each candidate ray on that star alone, and the toric-morphism test finds
-the cones holding each image ray once.  The module also builds the fans of
-projective space and of its cyclic quotient of order n+1, together with the
-lattice inclusion realising the quotient map.
+the cones holding each image ray once.  A ``Fan`` keeps each kernel from
+first use for its own lifetime, and ``desingularize`` hands its kernels to
+the fan it returns.  The module also builds the fans of projective space
+and of its cyclic quotient of order n+1, together with the lattice
+inclusion realising the quotient map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from math import lcm, prod
 
 from .errors import QuasilinesError, UsageError
@@ -66,11 +67,24 @@ class DesingularizationBudgetError(QuasilinesError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Primitive ray generators plus maximal cones as sorted index tuples."""
+    """Primitive ray generators plus maximal cones as sorted index tuples.
+
+    The fan stores each cone kernel it computes, keyed by the cone, for its
+    own lifetime; the store is not built from, shown or compared.
+    """
 
     dim: int
     rays: tuple[Vec, ...]
     max_cones: tuple[Cone, ...]
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kernel(self, cone: Cone) -> tuple[Matrix, int]:
+        """Integer kernel (N, d) of a full-dimensional cone, computed once:
+        with the rays as columns, rays * N = d * I, d = |det| is the cone's
+        multiplicity, and dependent rays raise ``InfiniteIndexError``."""
+        if cone not in self._kernels:
+            self._kernels[cone] = rational_inverse(transpose([self.rays[i] for i in cone]))
+        return self._kernels[cone]
 
 
 @dataclass(frozen=True)
@@ -87,14 +101,10 @@ def make_fan(dim: int, rays, cones) -> Fan:
     )
 
 
-@lru_cache(maxsize=1024)
-def cone_kernel(rays: tuple[Vec, ...]) -> tuple[Matrix, int]:
-    """Integer kernel (N, d) of a full-dimensional simplicial cone.
-
-    With the rays as columns, rays * N = d * I and d = |det| is the cone's
-    multiplicity, so N * p / d are the coordinates of p in the ray basis.
-    """
-    return rational_inverse(transpose(rays))
+def _sharing_kernels(fan: Fan, kernels: dict) -> Fan:
+    """``fan`` with ``kernels``, computed on a prefix of its rays, as store."""
+    object.__setattr__(fan, "_kernels", kernels)
+    return fan
 
 
 def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
@@ -106,10 +116,10 @@ def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
     one ray by the point (Cramer's rule).  A lower-dimensional cone gives
     its unique rational solution times the lcm of the denominators.
     """
-    rays = tuple(fan.rays[i] for i in cone)
     if len(cone) == fan.dim:
-        inv, _ = cone_kernel(rays)
+        inv, _ = fan.kernel(cone)
         return mat_vec(inv, tuple(point))
+    rays = tuple(fan.rays[i] for i in cone)
     try:
         solution = solve_rational_linear(transpose(rays), tuple(point))
     except NoSolutionError:
@@ -131,28 +141,29 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     """
     if len(cone) != fan.dim:
         raise NotMaximalError(f"cone {cone} is not full-dimensional in dim {fan.dim}")
-    return _multiplicity(tuple(fan.rays[i] for i in cone))
+    return fan.kernel(cone)[1]
 
 
 def _multiplicity(rays: tuple[Vec, ...]) -> int:
     """Index of the lattice spanned by ``rays`` in the lattice points of
-    their span: the kernel's d when the rays span the whole space, else the
-    product of the Smith invariant factors.  Dependent rays raise
-    ``InfiniteIndexError``.
+    their span, the product of the Smith invariant factors.  Dependent rays
+    raise ``InfiniteIndexError``.
     """
-    if rays and len(rays) == len(rays[0]):
-        return cone_kernel(rays)[1]
     factors = invariant_factors(rays)
     if len(factors) < len(rays) or 0 in factors:
         raise InfiniteIndexError("cone generators are linearly dependent")
     return prod(factors)
 
 
+def _cone_index(fan: Fan, cone: Cone) -> int:
+    """Multiplicity of a cone of any dimension, from its kernel if it has one."""
+    if len(cone) == fan.dim:
+        return fan.kernel(cone)[1]
+    return _multiplicity(tuple(fan.rays[i] for i in cone))
+
+
 def is_smooth(fan: Fan) -> bool:
-    return all(
-        _multiplicity(tuple(fan.rays[i] for i in cone)) == 1
-        for cone in fan.max_cones
-    )
+    return all(_cone_index(fan, cone) == 1 for cone in fan.max_cones)
 
 
 def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
@@ -176,14 +187,14 @@ def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
     return fm_feasible(rows, fan.dim)
 
 
-def _certifies_complete(fan: Fan, kernels: list[tuple[Matrix, int] | None]) -> bool:
+def _certifies_complete(fan: Fan) -> bool:
     """Facet-pairing certificate that ``fan`` is a complete fan.
 
-    ``kernels`` holds the integer kernel (N, d) of each maximal cone, or
-    None for a cone that is not full-dimensional.  The certificate accepts
-    when there is at least one cone, every cone is full-dimensional, every
-    facet (a cone minus the ray at position pos) lies in exactly two cones
-    a and b, row pa of N_a is negative on the ray of b opposite the facet,
+    The rays of each full-dimensional cone must be independent, as
+    ``validate_fan`` checks first.  The certificate accepts when there is at
+    least one cone, every cone is full-dimensional, every facet (a cone
+    minus the ray at position pos) lies in exactly two cones a and b, row pa
+    of the kernel N_a of a is negative on the ray of b opposite the facet,
     and the point p = sum of the rays of cone 0 lies in no other closed cone.
 
     Row pa of N_a vanishes on the facet and is d_a > 0 on the ray of a
@@ -198,9 +209,9 @@ def _certifies_complete(fan: Fan, kernels: list[tuple[Matrix, int] | None]) -> b
     Loera, Rambau and Santos, Triangulations, 2010, ch. 4): the pairwise
     test would accept too.  A fan this rejects may still be valid.
     """
-    if not kernels or any(kernel is None for kernel in kernels):
-        return False
     cones = fan.max_cones
+    if not cones or any(len(cone) != fan.dim for cone in cones):
+        return False
     facets: dict[Cone, list[tuple[int, int]]] = {}
     for cidx, cone in enumerate(cones):
         for pos in range(len(cone)):
@@ -209,11 +220,11 @@ def _certifies_complete(fan: Fan, kernels: list[tuple[Matrix, int] | None]) -> b
         if len(sides) != 2:
             return False
         (a, pa), (b, pb) = sides
-        normal = kernels[a][0][pa]
+        normal = fan.kernel(cones[a])[0][pa]
         if sum(x * y for x, y in zip(normal, fan.rays[cones[b][pb]])) >= 0:
             return False
     p = tuple(sum(coords) for coords in zip(*(fan.rays[i] for i in cones[0])))
-    return all(any(c < 0 for c in mat_vec(inv, p)) for inv, _ in kernels[1:])
+    return all(any(c < 0 for c in mat_vec(fan.kernel(cone)[0], p)) for cone in cones[1:])
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
@@ -242,10 +253,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
             violations.append(f"rays {seen[ray]} and {idx} coincide")
         else:
             seen[ray] = idx
-    kernels: list[tuple[Matrix, int] | None] = []
     first: dict[Cone, int] = {}
     for cidx, cone in enumerate(fan.max_cones):
-        kernel = None
         if cone in first:
             violations.append(f"cone {cidx} repeats cone {first[cone]}")
         elif not cone:
@@ -258,21 +267,16 @@ def validate_fan(fan: Fan) -> ValidationReport:
             violations.append(f"cone {cidx} has more generators than the dimension")
         elif all(len(fan.rays[i]) == fan.dim for i in cone):
             # A ray of the wrong length is already reported above.
-            rays = tuple(fan.rays[i] for i in cone)
             try:
-                _multiplicity(rays)
+                _cone_index(fan, cone)
             except InfiniteIndexError:
                 violations.append(f"cone {cidx} is not simplicial")
-            else:
-                if len(cone) == fan.dim:
-                    kernel = cone_kernel(rays)  # a cache hit after _multiplicity
         first.setdefault(cone, cidx)
-        kernels.append(kernel)
     used = {i for cone in fan.max_cones for i in cone}
     for idx in range(len(fan.rays)):
         if idx not in used:
             violations.append(f"ray {idx} appears in no maximal cone")
-    if not violations and not _certifies_complete(fan, kernels):
+    if not violations and not _certifies_complete(fan):
         for i, j in itertools.combinations(range(len(fan.max_cones)), 2):
             if not _meet_in_common_face(fan, fan.max_cones[i], fan.max_cones[j]):
                 violations.append(f"cones {i} and {j} do not meet in a common face")
@@ -284,8 +288,8 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
 
     Every maximal cone containing ``w``, found by scanning every cone, is
     replaced by the joins of ``w`` with its facets not containing ``w``;
-    cones away from ``w`` survive unchanged.  Subdividing at an existing ray
-    returns an equal fan.
+    cones away from ``w`` survive unchanged, and so do their kernels in the
+    new fan's store.  Subdividing at an existing ray returns an equal fan.
     """
     w = tuple(int(x) for x in w)
     if all(x == 0 for x in w):
@@ -306,8 +310,9 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
         w_index = len(fan.rays)
         new_rays = fan.rays + (w,)
     new_cones = {cone for cone in fan.max_cones if cone not in star}
+    kept = {cone: fan._kernels[cone] for cone in new_cones if cone in fan._kernels}
     new_cones.update(child for child, _ in _star_children(star.items(), w_index))
-    return Fan(fan.dim, new_rays, tuple(sorted(new_cones)))
+    return _sharing_kernels(Fan(fan.dim, new_rays, tuple(sorted(new_cones))), kept)
 
 
 def _star_children(star, w_index: int):
@@ -387,9 +392,12 @@ def desingularize(fan: Fan) -> Fan:
     full-dimensional cone's multiplicity is its kernel's d, and a
     candidate's kernel coordinates are the multiplicities of its children,
     so a step computes the multiplicity of a lower-dimensional child only.
+    Rays are only appended, so one kernel store, keyed by cone, serves every
+    step and then the returned fan.
     """
     dim, rays = fan.dim, fan.rays
-    mults = {cone: _multiplicity(tuple(rays[i] for i in cone)) for cone in fan.max_cones}
+    mults = {cone: _cone_index(fan, cone) for cone in fan.max_cones}
+    kernels = dict(fan._kernels)
     holders: dict[int, set[Cone]] = {}
     for cone in mults:
         for i in cone:
@@ -398,7 +406,7 @@ def desingularize(fan: Fan) -> Fan:
     while True:
         worst = max(mults.values(), default=1)
         if worst == 1:
-            return Fan(dim, rays, tuple(sorted(mults))) if steps else fan
+            return _sharing_kernels(Fan(dim, rays, tuple(sorted(mults))), kernels) if steps else fan
         if steps == DESINGULARIZATION_STEP_BUDGET:
             raise DesingularizationBudgetError(
                 f"desingularization needs more than {steps} stellar subdivisions, "
@@ -406,7 +414,7 @@ def desingularize(fan: Fan) -> Fan:
                 f"{DESINGULARIZATION_STEP_BUDGET}"
             )
         steps += 1
-        current = Fan(dim, rays, tuple(mults))
+        current = _sharing_kernels(Fan(dim, rays, tuple(mults)), kernels)
         w_index = len(rays)
         target = min(cone for cone, m in mults.items() if m == worst)
         target_rays = tuple(rays[i] for i in target)
@@ -431,6 +439,7 @@ def desingularize(fan: Fan) -> Fan:
         rays += (w,)
         for cone in star:
             del mults[cone]
+            kernels.pop(cone, None)
             for i in cone:
                 holders[i].discard(cone)
         for child, m in children.items():

@@ -92,6 +92,18 @@ class PropagationResult:
         return self.contradiction is None
 
 
+# R4-R10 in firing order: (rule, premise field, premise value, derived field, value).
+_IMPLICATIONS = (
+    ("R4", "e", 1, "rational", True),
+    ("R5", "e0", 1, "unirational", True),
+    ("R6", "e", 1, "g3", True),
+    ("R7", "strongly_rational", True, "rational", True),
+    ("R8", "ex", 1, "rational", True),
+    ("R9", "rational", True, "unirational", True),
+    ("R10", "rational", True, "ex", 1),
+)
+
+
 class _Engine:
     def __init__(self, record: ModelRecord):
         self.record = record
@@ -131,10 +143,7 @@ class _Engine:
             changed = False
             # R3 and R2 run before R1 so that a violated biconditional or
             # ordering is witnessed as such, not as a divisibility failure.
-            for rule in (
-                self._r3, self._r2, self._r1, self._r4, self._r5,
-                self._r6, self._r7, self._r8, self._r9, self._r10,
-            ):
+            for rule in (self._r3, self._r2, self._r1, self._implications):
                 changed = rule() or changed
                 if self.contradiction is not None:
                     break
@@ -195,40 +204,14 @@ class _Engine:
             return self.set("R3", ("g3", "etilde"), "e", etilde)
         return False
 
-    def _r4(self) -> bool:
-        if self.get("e") == 1:
-            return self.set("R4", ("e",), "rational", True)
-        return False
-
-    def _r5(self) -> bool:
-        if self.get("e0") == 1:
-            return self.set("R5", ("e0",), "unirational", True)
-        return False
-
-    def _r6(self) -> bool:
-        if self.get("e") == 1:
-            return self.set("R6", ("e",), "g3", True)
-        return False
-
-    def _r7(self) -> bool:
-        if self.get("strongly_rational") is True:
-            return self.set("R7", ("strongly_rational",), "rational", True)
-        return False
-
-    def _r8(self) -> bool:
-        if self.get("ex") == 1:
-            return self.set("R8", ("ex",), "rational", True)
-        return False
-
-    def _r9(self) -> bool:
-        if self.get("rational") is True:
-            return self.set("R9", ("rational",), "unirational", True)
-        return False
-
-    def _r10(self) -> bool:
-        if self.get("rational") is True:
-            return self.set("R10", ("rational",), "ex", 1)
-        return False
+    def _implications(self) -> bool:
+        changed = False
+        for rule, premise, value, name, derived in _IMPLICATIONS:
+            if self.get(premise) == value:
+                changed = self.set(rule, (premise,), name, derived) or changed
+                if self.contradiction is not None:
+                    break
+        return changed
 
 
 def propagate(record: ModelRecord) -> PropagationResult:

@@ -1,7 +1,8 @@
 """Line-oriented key/value documents used for reports and data files.
 
 A document is a sequence of ``key: value`` lines; list values are written
-as a bare ``key:`` line followed by ``- item`` lines.  Scalars are ints,
+as a bare ``key:`` line followed by ``- item`` lines, and an empty value
+as a bare ``key:`` line, which reads back as an empty list.  Scalars are ints,
 reduced fractions (``-2/3``), the words ``true``/``false``, or plain
 strings; an item holding several whitespace-separated scalars parses as a
 tuple, and a bare ``-`` item, as an empty string or tuple renders, parses
@@ -45,7 +46,8 @@ def render(entries) -> str:
             for item in value:
                 lines.append(f"- {_render_scalar(item)}")
         else:
-            lines.append(f"{key}: {_render_scalar(value)}")
+            text = _render_scalar(value)
+            lines.append(f"{key}: {text}" if text else f"{key}:")
     return "\n".join(lines) + "\n"
 
 

@@ -4,11 +4,14 @@ import argparse
 import itertools
 from fractions import Fraction
 
-from quasilines import cli
+import pytest
+
+from quasilines import cli, fans, lattice
 from quasilines.divisors import SectionsPolyhedron
 from quasilines.errors import UsageError
 from quasilines.fans import (
     _box_lattice_points,
+    _cone_index,
     _multiplicity,
     cone_contains,
     cone_coordinates,
@@ -194,15 +197,11 @@ def fraction_box_lattice_points(rays):
 def scan_desingularize(fan):
     """Reference for ``fans.desingularize``: the same choice of target cone
     and ray, but every candidate is scored against every maximal cone, the
-    multiplicities are recomputed for every cone at every step, and each
-    step is a whole-fan ``stellar_subdivide``.  Needs no valid fan and no
-    budget."""
+    multiplicities are read for every cone at every step, and each step is
+    a whole-fan ``stellar_subdivide``.  Needs no valid fan and no budget."""
     current = fan
     while True:
-        mults = {
-            cone: _multiplicity(tuple(current.rays[i] for i in cone))
-            for cone in current.max_cones
-        }
+        mults = {cone: _cone_index(current, cone) for cone in current.max_cones}
         worst = max(mults.values(), default=1)
         if worst == 1:
             return current
@@ -324,3 +323,16 @@ def fan_file_parser():
 
     fan._match_arguments_partial = pending_fan_file
     return parser
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The matrices ``fans`` passes to ``rational_inverse`` from now on."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return lattice.rational_inverse(a)
+
+    monkeypatch.setattr(fans, "rational_inverse", counting)
+    return calls

@@ -2,9 +2,9 @@
 
 import pytest
 
-from quasilines import divisors, fans, lattice
+from quasilines import cubic, divisors, fans, lattice
 from quasilines.cli import main, run
-from quasilines.report import parse
+from quasilines.report import parse, render
 
 P2_FAN_DOC = """\
 dim: 2
@@ -447,6 +447,48 @@ class TestLatticePointBudget:
         fan_file.write_text(P2_FAN_DOC)
         code, doc, _ = structured(["fan", "h0", str(fan_file), "--values", "0,0,-1"])
         assert (code, doc["h0"]) == (0, 3)
+
+
+class TestCubicResampleBudget:
+    def test_bound_zero_exhausts_the_budget(self):
+        # At bound 0 every sample is the zero form, singular at the point.
+        assert run(["cubic", "--bound", "0", "--format", "structured"]) == (2, (
+            "report: error\nseed: 0\nerror: RetriesExhaustedError\n"
+            "detail: no generic sample found for seed 0 within the budget "
+            "CUBIC_RESAMPLE_BUDGET = 40 attempts\n"
+        ))
+
+    def test_budget_counts_attempts(self, monkeypatch):
+        # Seed 0 at bound 1 finds its generic sample at attempt 1.
+        code, doc, _ = structured(["cubic", "--bound", "1"])
+        assert (code, doc["attempt"]) == (0, 1)
+        monkeypatch.setattr(cubic, "CUBIC_RESAMPLE_BUDGET", 1)
+        code, doc, text = structured(["cubic", "--bound", "1"])
+        assert (code, doc["error"]) == (2, "RetriesExhaustedError")
+        assert text.endswith("CUBIC_RESAMPLE_BUDGET = 1 attempts\n")
+
+
+class TestKernelStore:
+    @pytest.fixture(scope="class")
+    def refinement_file(self, tmp_path_factory):
+        smooth = fans.desingularize(fans.cyclic_quotient_fans(8)[1])
+        assert len(smooth.max_cones) == 2700
+        path = tmp_path_factory.mktemp("refined") / "refined8.txt"
+        path.write_text(render([
+            ("dim", smooth.dim), ("rays", list(smooth.rays)), ("cones", list(smooth.max_cones)),
+        ]))
+        return path, len(smooth.rays)
+
+    @pytest.mark.parametrize("subop", ["desingularize", "cartier"])
+    def test_one_inverse_per_cone(self, refinement_file, inverse_calls, subop):
+        # Validation, desingularization, the smoothness check and the
+        # Cartier certificate all read one kernel per cone from the fan.
+        path, ray_count = refinement_file
+        extra = ["--values", ",".join(["0"] * ray_count)] if subop == "cartier" else []
+        code, doc, _ = structured(["fan", subop, str(path)] + extra)
+        assert code == 0
+        assert doc.get("smooth", doc.get("cartier")) is True
+        assert len(inverse_calls) == 2700
 
 
 class TestMainAndOutput:

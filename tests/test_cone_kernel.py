@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from quasilines.fans import (
     cone_contains,
     cone_coordinates,
     cone_multiplicity,
+    cyclic_quotient_fans,
 )
 from quasilines.lattice import (
     NoSolutionError,
@@ -171,12 +173,60 @@ class TestBoxLatticePoints:
         assert _box_lattice_points(rays) == fraction_box_lattice_points(rays)
 
 
+class TestKernelStore:
+    def test_store_is_invisible_to_repr_eq_and_hash(self):
+        fresh, used = cyclic_quotient_fans(3)[1], cyclic_quotient_fans(3)[1]
+        before = (repr(used), hash(used))
+        for cone in used.max_cones:
+            used.kernel(cone)
+        assert used._kernels and not fresh._kernels
+        assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+        assert used == fresh
+        assert {used: 1}[fresh] == 1
+
+    def test_store_is_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError):
+            Fan(1, ((1,), (-1,)), ((0,), (1,)), {})
+        with pytest.raises(TypeError):
+            Fan(1, ((1,), (-1,)), ((0,), (1,)), _kernels={})
+
+    def test_each_kernel_is_computed_once_per_fan(self, inverse_calls):
+        first, second = cyclic_quotient_fans(3)[1], cyclic_quotient_fans(3)[1]
+        for fan in (first, first, second):
+            for cone in fan.max_cones:
+                assert fan.kernel(cone)[1] == 4
+        # The store belongs to the fan: an equal fan computes its own.
+        assert len(inverse_calls) == 2 * len(first.max_cones)
+
+    def test_desingularize_computes_each_kernel_once(self, inverse_calls):
+        smooth = fans.desingularize(cyclic_quotient_fans(5)[1])
+        assert fans.is_smooth(smooth)
+        assert len(inverse_calls) == len(set(inverse_calls)) > len(smooth.max_cones)
+
+    def test_desingularize_hands_its_kernels_on(self, inverse_calls):
+        # P(1, 1, 2): cone 0 2 has multiplicity 2, the other two are smooth
+        # and survive the one subdivision with the kernels read for them.
+        weighted = fans.make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        smooth = fans.desingularize(weighted)
+        assert len(smooth.rays) == 4
+        stored = dict(smooth._kernels)
+        # Only cones of the result are kept, and each under its own key.
+        assert set(stored) == {(0, 1), (1, 2)}
+        for cone, kernel in stored.items():
+            assert kernel == rational_inverse(transpose([smooth.rays[i] for i in cone]))
+        inverse_calls.clear()
+        assert fans.is_smooth(smooth) and fans.is_smooth(smooth)
+        assert len(inverse_calls) == len(smooth.max_cones) - len(stored)
+
+
 def test_deleted_names_stay_gone():
     # Multiplicity, membership and the box enumeration are integer
     # computations on the cone kernel; the Fraction path must not return.
     assert not hasattr(fans, "Fraction")
     for module, name in [
         (fans, "_general_multiplicity"),
+        # Each fan keeps its own kernels (Fan.kernel); no module-level cache.
+        (fans, "cone_kernel"),
         (fans, "find_containing_cone"),
         (lattice, "determinant"),
         (lattice, "sublattice_index"),

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import determinant
 from quasilines.fans import _multiplicity
@@ -11,6 +13,7 @@ from quasilines.lattice import (
     InfiniteIndexError,
     NoSolutionError,
     ZeroVectorError,
+    fm_feasible,
     invariant_factors,
     mat_vec,
     primitive,
@@ -173,3 +176,57 @@ class TestSolveRationalLinear:
         sol = solve_rational_linear(((1, 1),), (2,))
         assert not sol.unique
         assert sol.x[0] + sol.x[1] == 2
+
+
+COEFF = st.integers(-4, 4)
+
+
+@st.composite
+def planted_point_systems(draw):
+    """Rows c . u >= rhs that all hold at a drawn rational point p / q."""
+    dim = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 5))
+    p = draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        c = draw(st.lists(COEFF, min_size=dim, max_size=dim))
+        slack = draw(st.integers(0, 3))
+        rows.append(tuple(c) + (sum(a * x for a, x in zip(c, p)) // q - slack,))
+    return dim, rows, (p, q)
+
+
+@st.composite
+def planted_farkas_systems(draw):
+    """Rows whose combination with drawn non-negative weights reads
+    0 >= positive, so no real point satisfies them all."""
+    dim = draw(st.integers(1, 4))
+    rows = [
+        tuple(draw(st.lists(COEFF, min_size=dim + 1, max_size=dim + 1)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    # The closing row has weight 1 and cancels the weighted coefficients.
+    coeffs = [-sum(w * row[j] for w, row in zip(weights, rows)) for j in range(dim)]
+    rhs = -sum(w * row[-1] for w, row in zip(weights, rows)) + draw(st.integers(1, 5))
+    rows.append(tuple(coeffs) + (rhs,))
+    extra = [
+        tuple(draw(st.lists(COEFF, min_size=dim + 1, max_size=dim + 1)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return dim, draw(st.permutations(rows + extra))
+
+
+class TestFourierMotzkinFeasibility:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_point_systems())
+    def test_planted_point_is_feasible(self, case):
+        dim, rows, (p, q) = case
+        for row in rows:
+            assert sum(Fraction(a * x, q) for a, x in zip(row, p)) >= row[-1]
+        assert fm_feasible(rows, dim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_farkas_systems())
+    def test_planted_farkas_combination_is_infeasible(self, case):
+        dim, rows = case
+        assert not fm_feasible(rows, dim)

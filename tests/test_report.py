@@ -18,9 +18,7 @@ SCALARS = st.one_of(
 )
 TUPLES = st.lists(SCALARS, max_size=4).map(tuple)
 ITEMS = st.one_of(SCALARS, TUPLES, st.just(""))
-# A top-level value renders after "key: ", so it must not be empty there: an
-# empty value is written as an empty list.
-VALUES = st.one_of(SCALARS, TUPLES.filter(bool), st.lists(ITEMS, max_size=4))
+VALUES = st.one_of(ITEMS, st.lists(ITEMS, max_size=4))
 ENTRIES = st.lists(st.tuples(WORDS, VALUES), max_size=6, unique_by=lambda entry: entry[0])
 
 
@@ -37,3 +35,15 @@ def test_empty_item_parses(item):
     text = render([("a", [item, 1])])
     assert text == "a:\n- \n- 1\n"
     assert parse(text) == {"a": ["", 1]}
+
+
+@pytest.mark.parametrize("value", [(), ""], ids=["empty-tuple", "empty-string"])
+def test_empty_top_level_value_renders_as_bare_key(value):
+    text = render([("a", value), ("b", 1)])
+    assert text == "a:\nb: 1\n"
+    assert parse(text) == {"a": [], "b": 1}
+    assert render(list(parse(text).items())) == text
+
+
+def test_key_with_trailing_space_still_opens_a_list():
+    assert parse("a: \n- 1\n- x y\nb:\n- 2\n") == {"a": [1, ("x", "y")], "b": [2]}
