@@ -75,7 +75,7 @@ from .models import BUILTIN_RECORDS, FLAG_FIELDS, INT_FIELDS, ModelRecord, propa
 from .report import parse, render
 
 MAX_QUOTIENT_N = 12
-MAX_LEMMA_N = 5
+MAX_LEMMA_N = 9
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:

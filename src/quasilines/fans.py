@@ -65,6 +65,15 @@ class DesingularizationBudgetError(QuasilinesError):
     stellar subdivisions."""
 
 
+# Largest number of cone pairs one pairwise fan validation may test.
+FAN_PAIR_BUDGET = 100_000
+
+
+class FanPairBudgetError(QuasilinesError):
+    """Pairwise fan validation needed more than ``FAN_PAIR_BUDGET`` face
+    tests."""
+
+
 @dataclass(frozen=True)
 class Fan:
     """Primitive ray generators plus maximal cones as sorted index tuples.
@@ -234,7 +243,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
     reported at its repeat.  If they pass, a complete fan of
     full-dimensional cones is accepted by the facet-pairing certificate of
     ``_certifies_complete``; any other fan is decided by a Fourier-Motzkin
-    face test on every pair of cones, which lists each failing pair.
+    face test on every pair of cones, which lists each failing pair.  More
+    than ``FAN_PAIR_BUDGET`` pairs raise ``FanPairBudgetError`` before the
+    first test.
     """
     violations: list[str] = []
     if fan.dim < 1:
@@ -277,6 +288,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if idx not in used:
             violations.append(f"ray {idx} appears in no maximal cone")
     if not violations and not _certifies_complete(fan):
+        pairs = len(fan.max_cones) * (len(fan.max_cones) - 1) // 2
+        if pairs > FAN_PAIR_BUDGET:
+            raise FanPairBudgetError(
+                f"pairwise fan validation needs {pairs} cone pairs, "
+                f"over the budget FAN_PAIR_BUDGET = {FAN_PAIR_BUDGET}"
+            )
         for i, j in itertools.combinations(range(len(fan.max_cones)), 2):
             if not _meet_in_common_face(fan, fan.max_cones[i], fan.max_cones[j]):
                 violations.append(f"cones {i} and {j} do not meet in a common face")

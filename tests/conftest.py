@@ -2,12 +2,21 @@
 
 import argparse
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from quasilines import cli, fans, lattice
-from quasilines.divisors import SectionsPolyhedron
+from quasilines.divisors import (
+    _EXTENSION_NOTE,
+    ExtensionReport,
+    SectionsPolyhedron,
+    SupportFunction,
+    cartier_certificate,
+    count_lattice_points,
+    sections_polyhedron,
+)
 from quasilines.errors import UsageError
 from quasilines.fans import (
     _box_lattice_points,
@@ -192,6 +201,46 @@ def fraction_box_lattice_points(rays):
         if any(c != 0 for c in coords):
             points.add(tuple(int(c) for c in coords))
     return points
+
+
+def per_sample_extension_check(base, refined, coeff_bound, samples, seed):
+    """Reference for ``divisors.sampled_extension_check``: the same draws,
+    but every sample gets its own Cartier certificate and its own
+    lattice-point count of the whole extended polyhedron."""
+    base_polyhedron = sections_polyhedron(base)
+    base_count = count_lattice_points(base_polyhedron).count
+    base_constraints = set(base_polyhedron.constraints)
+    new_rays = len(refined.rays) - len(base.fan.rays)
+    rng = random.Random(seed)
+    counts = []
+    tested = cartier_samples = containment_failures = count_violations = 0
+    attempts_cap = samples * 20 if samples else 0
+    while cartier_samples < samples and tested < attempts_cap:
+        tested += 1
+        extra = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(new_rays))
+        psi = SupportFunction(refined, base.values + extra)
+        if not cartier_certificate(psi).cartier:
+            continue
+        cartier_samples += 1
+        extended = sections_polyhedron(psi)
+        if not base_constraints <= set(extended.constraints):
+            containment_failures += 1
+        result = count_lattice_points(extended)
+        counts.append(result.count)
+        if result.count > base_count:
+            count_violations += 1
+    return ExtensionReport(
+        seed=seed,
+        coeff_bound=coeff_bound,
+        requested=samples,
+        tested=tested,
+        cartier_samples=cartier_samples,
+        base_count=base_count,
+        counts=tuple(counts),
+        containment_failures=containment_failures,
+        count_violations=count_violations,
+        note=_EXTENSION_NOTE,
+    )
 
 
 def scan_desingularize(fan):

@@ -30,6 +30,21 @@ cones:
 - 1 2
 """
 
+# Three quadrants of the plane: a valid fan with 3 cone pairs that does not
+# cover the plane.
+THREE_QUADRANTS_DOC = """\
+dim: 2
+rays:
+- 1 0
+- 0 1
+- -1 0
+- 0 -1
+cones:
+- 0 1
+- 1 2
+- 2 3
+"""
+
 # A fan in dimension 3 whose cone 0 1 is 2-dimensional, of multiplicity 2.
 LOWER_DIM_FAN_DOC = """\
 dim: 3
@@ -102,11 +117,18 @@ class TestLemmaA2:
         assert doc["base-section-count"] == 1
         assert doc["all-ok"] is True
 
-    def test_n6_is_usage_error(self):
-        code, doc, text = structured(["lemma-a2", "--n", "6"])
+    def test_n9_run(self):
+        code, doc, _ = structured(["lemma-a2", "--n", "9", "--samples", "100"])
+        assert code == 0
+        assert doc["refined-smooth"] is True
+        assert doc["samples-cartier"] == 100
+        assert doc["all-ok"] is True
+
+    def test_n10_is_usage_error(self):
+        code, doc, text = structured(["lemma-a2", "--n", "10"])
         assert code == 1
         assert doc["error"] == "usage"
-        assert "between 2 and 5" in text
+        assert "between 2 and 9" in text
 
 
 class TestBundle:
@@ -427,6 +449,31 @@ class TestDesingularizationBudget:
         assert code == 2
         assert doc["error"] == "DesingularizationBudgetError"
         assert "DESINGULARIZATION_STEP_BUDGET = 1\n" in text
+
+
+class TestFanPairBudget:
+    @pytest.mark.parametrize("fan_doc,budget,valid", [
+        # The certificate rejects a fan that does not cover the plane, so
+        # validation reaches the pairwise check.
+        (THREE_QUADRANTS_DOC, 3, True),
+        # The certificate accepts complete P^2 before any pair is counted.
+        (P2_FAN_DOC, 1, True),
+    ], ids=["at-the-budget", "certified"])
+    def test_allowed(self, tmp_path, monkeypatch, fan_doc, budget, valid):
+        monkeypatch.setattr(fans, "FAN_PAIR_BUDGET", budget)
+        fan_file = tmp_path / "fan.txt"
+        fan_file.write_text(fan_doc)
+        code, doc, _ = structured(["fan", "validate", str(fan_file)])
+        assert (code, doc["valid"]) == (0, valid)
+
+    def test_exceeded_budget_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fans, "FAN_PAIR_BUDGET", 1)
+        fan_file = tmp_path / "fan.txt"
+        fan_file.write_text(THREE_QUADRANTS_DOC)
+        code, doc, text = structured(["fan", "validate", str(fan_file)])
+        assert (code, doc["error"]) == (2, "FanPairBudgetError")
+        assert text.endswith("detail: pairwise fan validation needs 3 cone pairs, "
+                             "over the budget FAN_PAIR_BUDGET = 1\n")
 
 
 class TestLatticePointBudget:

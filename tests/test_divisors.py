@@ -1,5 +1,6 @@
 """Tests for support functions, Cartier certificates and section counts."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,12 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_count, random_bounded_system, recession_probe_axis
+from conftest import (
+    brute_force_count,
+    per_sample_extension_check,
+    random_bounded_system,
+    recession_probe_axis,
+)
+from quasilines import divisors
+from quasilines.cli import run
 from quasilines.divisors import (
     NotMorphismError,
     SectionsPolyhedron,
     SupportFunction,
     UnboundedPolyhedronError,
+    _points_above,
     cartier_certificate,
     count_lattice_points,
     h0,
@@ -22,8 +31,15 @@ from quasilines.divisors import (
     sampled_extension_check,
     sections_polyhedron,
 )
-from quasilines.fans import cyclic_quotient_fans, make_fan
+from quasilines.fans import (
+    cyclic_quotient_fans,
+    desingularize,
+    is_smooth,
+    make_fan,
+    stellar_subdivide,
+)
 from quasilines.lattice import dot
+from test_fans import VALID_FANS
 
 P2_FAN = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 P1_FAN = make_fan(1, [(1,), (-1,)], [(0,), (1,)])
@@ -258,3 +274,109 @@ class TestExtensionChecks:
         assert report.base_count == h0(base) == 2
         assert report.counts == (2, 2, 2, 2, 2)
         assert report.all_ok
+
+
+@functools.cache
+def quotient_refinement(n):
+    """The smooth refinement of the order n+1 quotient fan, built once."""
+    return desingularize(cyclic_quotient_fans(n)[1])
+
+
+@st.composite
+def refinement_extensions(draw):
+    """A support function with small values on a quotient fan, a
+    refinement that keeps its rays as a prefix, and values on the new rays.
+
+    The refinement is the smooth one of the quotient fan, n = 2..4, or a
+    random stellar subdivision of either fan of a quotient pair, which is
+    often not smooth.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        base_fan = cyclic_quotient_fans(n)[1]
+        refined = quotient_refinement(n)
+    else:
+        refined, _ = draw(VALID_FANS)
+        n = refined.dim
+        base_fan = next(
+            fan for fan in cyclic_quotient_fans(n)[:2] if fan.rays == refined.rays[:n + 1]
+        )
+    base = SupportFunction(base_fan, draw(st.tuples(*[st.integers(-2, 1)] * (n + 1))))
+    extra = draw(st.tuples(*[st.integers(-3, 3)] * (len(refined.rays) - n - 1)))
+    return base, refined, extra
+
+
+# The unrefined n = 2 quotient fan (every cone of multiplicity 3), subdivided
+# at (1, 0), and 3 times the hyperplane divisor, which is Cartier on it.
+_, QUOTIENT2, _ = cyclic_quotient_fans(2)
+PARTLY_SMOOTH2 = stellar_subdivide(QUOTIENT2, (1, 0))
+TRIPLE_HYPERPLANE2 = SupportFunction(QUOTIENT2, (0, -3, 0))
+
+
+class TestExtensionReductions:
+    """The filtered base points and the once-per-fan Cartier decision
+    against a count and a certificate per sample."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(refinement_extensions())
+    def test_filter_equals_count_and_smooth_means_cartier(self, case):
+        base, refined, extra = case
+        base_points = count_lattice_points(sections_polyhedron(base)).points
+        psi = SupportFunction(refined, base.values + extra)
+        new_rays = refined.rays[len(base.fan.rays):]
+        assert _points_above(base_points, new_rays, extra) == (
+            count_lattice_points(sections_polyhedron(psi)).points
+        )
+        if is_smooth(refined):
+            assert cartier_certificate(psi).cartier
+
+    @settings(max_examples=100, deadline=None)
+    @given(refinement_extensions(), st.integers(0, 3), st.integers(0, 2**16))
+    def test_report_equals_per_sample_path(self, case, bound, seed):
+        base, refined, _ = case
+        assert sampled_extension_check(base, refined, bound, 4, seed) == (
+            per_sample_extension_check(base, refined, bound, 4, seed)
+        )
+
+    @pytest.mark.parametrize("base,refined", [
+        (quotient_hyperplane_support(QUOTIENT2), QUOTIENT2),
+        (TRIPLE_HYPERPLANE2, QUOTIENT2),
+        (TRIPLE_HYPERPLANE2, PARTLY_SMOOTH2),
+    ], ids=["unrefined-hyperplane", "unrefined-triple", "partly-smooth-triple"])
+    def test_non_smooth_refinement_equals_per_sample_path(self, base, refined):
+        assert not is_smooth(refined)
+        report = sampled_extension_check(base, refined, 3, 10, seed=0)
+        assert report == per_sample_extension_check(base, refined, 3, 10, seed=0)
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Calls of ``count_lattice_points`` and ``cartier_certificate`` made
+    through ``divisors`` from now on."""
+    calls = {"count_lattice_points": 0, "cartier_certificate": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(divisors, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(divisors, name, counting)
+    return calls
+
+
+class TestExtensionWork:
+    def test_smooth_refinement_counts_once_and_certifies_nothing(self, work_counts):
+        code, _ = run(["lemma-a2", "--n", "3", "--samples", "8"])
+        assert code == 0
+        assert work_counts == {"count_lattice_points": 1, "cartier_certificate": 0}
+
+    @pytest.mark.parametrize("base,refined", [
+        (quotient_hyperplane_support(QUOTIENT2), QUOTIENT2),
+        (TRIPLE_HYPERPLANE2, PARTLY_SMOOTH2),
+    ], ids=["unrefined-hyperplane", "partly-smooth-triple"])
+    def test_non_smooth_refinement_certifies_every_tested_sample(
+        self, work_counts, base, refined
+    ):
+        report = sampled_extension_check(base, refined, 3, 10, seed=0)
+        assert work_counts == {
+            "count_lattice_points": 1, "cartier_certificate": report.tested,
+        }

@@ -94,10 +94,10 @@ GOLDEN = [
      _usage("--n must be between 2 and 12")),
     ("appendix-n-13", "appendix --n 13 --format structured", 0, 1,
      _usage("--n must be between 2 and 12")),
-    ("lemma-n-6", "lemma-a2 --n 6", 0, 1,
-     _usage("--n must be between 2 and 5 for the extension suite")),
+    ("lemma-n-10", "lemma-a2 --n 10", 0, 1,
+     _usage("--n must be between 2 and 9 for the extension suite")),
     ("lemma-n-1", "lemma-a2 --n 1 --format structured", 0, 1,
-     _usage("--n must be between 2 and 5 for the extension suite")),
+     _usage("--n must be between 2 and 9 for the extension suite")),
     ("lemma-bad-samples", "lemma-a2 --n 2 --samples 1.5", 0, 1,
      _usage("argument --samples: invalid int value: '1.5'")),
     ("bundle-unknown-op", "bundle flip --type 1,2", 0, 1,
@@ -380,6 +380,7 @@ ERROR_CLASSES = [
     ("lattice", "FourierMotzkinBudgetError", 2, None),
     ("fans", "OutsideSupportError", 2, ValueError),
     ("fans", "DesingularizationBudgetError", 2, None),
+    ("fans", "FanPairBudgetError", 2, None),
     ("divisors", "NotMorphismError", 2, ValueError),
     ("divisors", "NotCartierError", 2, ValueError),
     ("divisors", "UnboundedPolyhedronError", 2, None),
