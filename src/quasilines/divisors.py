@@ -23,7 +23,6 @@ from .lattice import (
     dot,
     fm_projections,
     mat_vec,
-    solve_rational_linear,
     transpose,
 )
 
@@ -103,21 +102,17 @@ def _integral_cone_solution(fan: Fan, cone: Cone, rhs: tuple[int, ...]):
     """Solve <m, ray_i> = rhs_i over the rays of ``cone``; return (m, None)
     when m is integral and (None, m) with m rational otherwise.
 
-    A full-dimensional cone with kernel (N, d) has the unique solution
-    N^T rhs / d, integral exactly when d divides every entry.  A
-    lower-dimensional cone takes the Smith-form particular solution.
-    Simplicial generators make the system consistent by construction.
+    With the cone kernel (N, d), m = N^T rhs / d solves it: N R^T = d I
+    for the ray matrix R.  It is integral exactly when d divides every
+    entry.  A full-dimensional cone has no other solution; on a smaller
+    one m is the particular solution of the Smith-form solve,
+    V[:, :k] diag(1 / s_i) U rhs.
     """
-    if len(cone) == fan.dim:
-        inv, d = fan.kernel(cone)
-        scaled = mat_vec(transpose(inv), rhs)
-        if all(x % d == 0 for x in scaled):
-            return tuple(x // d for x in scaled), None
-        return None, tuple(Fraction(x, d) for x in scaled)
-    rational = solve_rational_linear(tuple(fan.rays[i] for i in cone), rhs).x
-    if all(val.denominator == 1 for val in rational):
-        return tuple(int(val) for val in rational), None
-    return None, rational
+    inv, d = fan.kernel(cone)
+    scaled = mat_vec(transpose(inv), rhs)
+    if all(x % d == 0 for x in scaled):
+        return tuple(x // d for x in scaled), None
+    return None, tuple(Fraction(x, d) for x in scaled)
 
 
 def cartier_certificate(psi: SupportFunction) -> CartierCertificate:
@@ -292,7 +287,8 @@ def sampled_extension_check(
     ``refined`` must keep the base rays as a prefix (stellar subdivisions
     do).  New-ray values are drawn uniformly from [-coeff_bound,
     coeff_bound]; extensions without a Cartier certificate are skipped, not
-    counted as violations.
+    counted as violations.  At most 20 draws are made per requested sample.
+    A negative ``coeff_bound`` or ``samples`` raises ``UsageError``.
 
     Two exact reductions keep the work per sample small.  Smoothness of
     ``refined`` is decided once.  On a smooth fan every integral support
@@ -308,6 +304,8 @@ def sampled_extension_check(
     """
     if coeff_bound < 0:
         raise UsageError("the coefficient bound must be non-negative")
+    if samples < 0:
+        raise UsageError("the sample count must be non-negative")
     base_rays = base.fan.rays
     if refined.rays[: len(base_rays)] != base_rays:
         raise ValueError("refined fan must preserve the base rays as a prefix")
@@ -323,7 +321,7 @@ def sampled_extension_check(
     cartier_samples = 0
     containment_failures = 0
     count_violations = 0
-    attempts_cap = samples * 20 if samples else 0
+    attempts_cap = 20 * samples
     while cartier_samples < samples and tested < attempts_cap:
         tested += 1
         extra = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in new_rays)

@@ -1,10 +1,10 @@
 """Simplicial fans: validation, multiplicity, subdivision, toric morphisms.
 
 Only simplicial fans are supported; every cone is stored as a sorted tuple of
-ray indices.  Membership, Cartier and scoring questions on a full-dimensional
-cone read signs, or divisibility by d, off its integer kernel (N, d), and d
-is its multiplicity; smaller cones go through the Smith normal form, which
-also enumerates, in integers, the lattice points of a cone's half-open box.
+ray indices.  Membership, Cartier and scoring questions on a cone of any
+dimension read signs, or divisibility by d, off its integer kernel (N, d),
+and d is its multiplicity; the Smith normal form also enumerates, in
+integers, the lattice points of a cone's half-open box.
 Validation accepts a complete fan of full-dimensional cones by a
 facet-pairing certificate on the same kernels; any other fan is decided by a
 Fourier-Motzkin test per pair of cones.  Cones of a valid fan meet face to
@@ -22,21 +22,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm, prod
+from math import prod
 
 from .errors import QuasilinesError, UsageError
 from .lattice import (
     InfiniteIndexError,
     Matrix,
-    NoSolutionError,
     Vec,
     fm_feasible,
-    invariant_factors,
     mat_vec,
     primitive,
     rational_inverse,
     smith_normal_form,
-    solve_rational_linear,
     transpose,
 )
 
@@ -88,11 +85,33 @@ class Fan:
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernel(self, cone: Cone) -> tuple[Matrix, int]:
-        """Integer kernel (N, d) of a full-dimensional cone, computed once:
-        with the rays as columns, rays * N = d * I, d = |det| is the cone's
-        multiplicity, and dependent rays raise ``InfiniteIndexError``."""
+        """Integer kernel (N, d) of a cone of any dimension, computed once.
+
+        With the k rays of the cone as the rows of R, N is k x dim and
+        N R^T = d I, where d is the cone's multiplicity: the index of the
+        lattice the rays span in the lattice points of their span.  A
+        full-dimensional cone takes N by fraction-free elimination and
+        d = |det R|.  A smaller cone takes the Smith form U R V = S with
+        invariant factors s_i: d = prod s_i and N = U^T diag(d / s_i)
+        V[:, :k]^T.  Dependent rays raise ``InfiniteIndexError``.
+        """
         if cone not in self._kernels:
-            self._kernels[cone] = rational_inverse(transpose([self.rays[i] for i in cone]))
+            rays = [self.rays[i] for i in cone]
+            k = len(rays)
+            if k == self.dim:
+                self._kernels[cone] = rational_inverse(transpose(rays))
+            else:
+                u, s, v = smith_normal_form(rays)
+                factors = [s[i][i] for i in range(min(k, self.dim))]
+                if len(factors) < k or 0 in factors:
+                    raise InfiniteIndexError("cone generators are linearly dependent")
+                d = prod(factors)
+                scaled = [tuple(d // f * x for x in row) for f, row in zip(factors, u)]
+                inv = tuple(
+                    tuple(sum(scaled[a][i] * v[j][a] for a in range(k)) for j in range(self.dim))
+                    for i in range(k)
+                )
+                self._kernels[cone] = inv, d
         return self._kernels[cone]
 
 
@@ -117,24 +136,23 @@ def _sharing_kernels(fan: Fan, kernels: dict) -> Fan:
 
 
 def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
-    """Coordinates of ``point`` in the ray basis of ``cone`` times a positive
-    scalar, or None off the cone's linear span; callers read only signs.
+    """Coordinates of ``point`` in the ray basis of ``cone`` times the cone's
+    multiplicity d, or None off the cone's linear span.
 
-    A full-dimensional cone gives exactly N * point from its kernel, which
-    at a lattice point lists the multiplicities of the cones that replace
-    one ray by the point (Cramer's rule).  A lower-dimensional cone gives
-    its unique rational solution times the lcm of the denominators.
+    With the cone kernel (N, d) this is N * point: a point x R of the span
+    gives N R^T x = d x.  At a lattice point it lists the multiplicities of
+    the cones that replace one ray by the point (Cramer's rule).  A
+    lower-dimensional cone first checks that the point lies in its span,
+    R^T (N * point) = d * point.
     """
-    if len(cone) == fan.dim:
-        inv, _ = fan.kernel(cone)
-        return mat_vec(inv, tuple(point))
-    rays = tuple(fan.rays[i] for i in cone)
-    try:
-        solution = solve_rational_linear(transpose(rays), tuple(point))
-    except NoSolutionError:
+    inv, d = fan.kernel(cone)
+    coords = mat_vec(inv, tuple(point))
+    if len(cone) < fan.dim and any(
+        sum(c * fan.rays[i][j] for c, i in zip(coords, cone)) != d * x
+        for j, x in enumerate(point)
+    ):
         return None
-    scale = lcm(*(c.denominator for c in solution.x))
-    return tuple(int(c * scale) for c in solution.x)
+    return coords
 
 
 def cone_contains(fan: Fan, cone: Cone, point) -> bool:
@@ -153,26 +171,8 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     return fan.kernel(cone)[1]
 
 
-def _multiplicity(rays: tuple[Vec, ...]) -> int:
-    """Index of the lattice spanned by ``rays`` in the lattice points of
-    their span, the product of the Smith invariant factors.  Dependent rays
-    raise ``InfiniteIndexError``.
-    """
-    factors = invariant_factors(rays)
-    if len(factors) < len(rays) or 0 in factors:
-        raise InfiniteIndexError("cone generators are linearly dependent")
-    return prod(factors)
-
-
-def _cone_index(fan: Fan, cone: Cone) -> int:
-    """Multiplicity of a cone of any dimension, from its kernel if it has one."""
-    if len(cone) == fan.dim:
-        return fan.kernel(cone)[1]
-    return _multiplicity(tuple(fan.rays[i] for i in cone))
-
-
 def is_smooth(fan: Fan) -> bool:
-    return all(_cone_index(fan, cone) == 1 for cone in fan.max_cones)
+    return all(fan.kernel(cone)[1] == 1 for cone in fan.max_cones)
 
 
 def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
@@ -279,7 +279,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
         elif all(len(fan.rays[i]) == fan.dim for i in cone):
             # A ray of the wrong length is already reported above.
             try:
-                _cone_index(fan, cone)
+                fan.kernel(cone)
             except InfiniteIndexError:
                 violations.append(f"cone {cidx} is not simplicial")
         first.setdefault(cone, cidx)
@@ -338,8 +338,10 @@ def _star_children(star, w_index: int):
     ``star`` holds (cone, coordinates of w) pairs with nonnegative
     coordinates, and ``w_index`` is the ray index of w.  Each cone gives
     the join of w with its facet opposite each ray of positive coordinate;
-    the child is yielded with that coordinate, which for a full-dimensional
-    cone's kernel coordinates is the child's multiplicity (Cramer's rule).
+    the child is yielded with that coordinate.  For kernel coordinates of a
+    lattice point w that is the child's multiplicity, in every dimension:
+    the child spans the same space, and replacing ray i by w = sum x_j ray_j
+    scales the index d of the cone by x_i (Cramer's rule).
     """
     for cone, coords in star:
         for ray_idx, coeff in zip(cone, coords):
@@ -405,15 +407,14 @@ def desingularize(fan: Fan) -> Fan:
     carrier face F, the face of the target cone spanned by the rays on
     which w has a positive coordinate.  The cones through each ray are kept
     from step to step, and star(F) is the intersection of those sets over
-    F; w is scored and the fan subdivided on star(F) alone.  A
-    full-dimensional cone's multiplicity is its kernel's d, and a
-    candidate's kernel coordinates are the multiplicities of its children,
-    so a step computes the multiplicity of a lower-dimensional child only.
-    Rays are only appended, so one kernel store, keyed by cone, serves every
+    F; w is scored and the fan subdivided on star(F) alone.  A cone's
+    multiplicity is its kernel's d, and a candidate's kernel coordinates
+    are the multiplicities of its children, so a step computes no child's
+    multiplicity on its own.  Rays are only appended, so one kernel store, keyed by cone, serves every
     step and then the returned fan.
     """
     dim, rays = fan.dim, fan.rays
-    mults = {cone: _cone_index(fan, cone) for cone in fan.max_cones}
+    mults = {cone: fan.kernel(cone)[1] for cone in fan.max_cones}
     kernels = dict(fan._kernels)
     holders: dict[int, set[Cone]] = {}
     for cone in mults:
@@ -442,12 +443,7 @@ def desingularize(fan: Fan) -> Fan:
             star = {target: coords}
             for cone in _carrier_star(holders, target, coords) - {target}:
                 star[cone] = cone_coordinates(current, cone, w)
-            children = {
-                child: coeff if len(child) == dim else _multiplicity(
-                    tuple(w if i == w_index else rays[i] for i in child)
-                )
-                for child, coeff in _star_children(star.items(), w_index)
-            }
+            children = dict(_star_children(star.items(), w_index))
             score = max(children.values())
             if best is None or score < best[0]:
                 best = (score, w, star, children)
@@ -472,8 +468,9 @@ def is_toric_morphism(hom: LatticeHom, src: Fan, dst: Fan) -> bool:
     So the set of ``dst`` cones that contain each distinct image of a ray
     is computed once, and a source cone maps into the fan exactly when the
     sets of its rays' images share a cone.  Neither fan needs to be valid,
-    but every ``dst`` cone is tested, so a full-dimensional one with
-    dependent rays raises ``InfiniteIndexError`` whatever the cone order.
+    but every ``dst`` cone is tested, so one with dependent rays, of any
+    dimension, raises ``InfiniteIndexError`` whatever the cone order: it
+    gives a point no unique coordinates whose signs could decide membership.
     """
     if len(hom) != dst.dim or any(len(row) != src.dim for row in hom):
         raise ValueError("lattice hom dimensions do not match the fans")

@@ -6,9 +6,10 @@ Everything here is immutable and every operation is pure, so values can be
 shared across threads without coordination.  No floating point is used
 anywhere: lattice indices, Cartier certificates and lattice-point counts are
 integer-exact claims and are computed as such.  Inverses are fraction-free
-integer pairs and rational solves go through the Smith normal form.  The
-module also holds the one Fourier-Motzkin elimination routine, shared by fan
-validation and lattice-point counting.
+integer pairs.  The Smith normal form gives the integer kernel of a
+lower-dimensional cone (``fans.Fan.kernel``) and the exact rational solves
+of ``solve_rational_linear``.  The module also holds the one Fourier-Motzkin
+elimination routine, shared by fan validation and lattice-point counting.
 """
 
 from __future__ import annotations
@@ -156,13 +157,6 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     to_matrix = lambda lst: tuple(tuple(row) for row in lst)
     return to_matrix(u), to_matrix(m), to_matrix(v)
-
-
-def invariant_factors(a: Matrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of ``a`` (zeros included)."""
-    _, s, _ = smith_normal_form(a)
-    rows, cols = _dims(s)
-    return tuple(s[i][i] for i in range(min(rows, cols)))
 
 
 def primitive(v: Vec) -> Vec:

@@ -4,6 +4,7 @@ import argparse
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,8 +21,6 @@ from quasilines.divisors import (
 from quasilines.errors import UsageError
 from quasilines.fans import (
     _box_lattice_points,
-    _cone_index,
-    _multiplicity,
     cone_contains,
     cone_coordinates,
     stellar_subdivide,
@@ -179,6 +178,23 @@ def determinant(a):
     return sign * m[rows - 1][rows - 1]
 
 
+def invariant_factors(a):
+    """Diagonal of the Smith normal form of ``a`` (zeros included)."""
+    _, s, _ = smith_normal_form(a)
+    return tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
+
+
+def smith_index(rays):
+    """Reference multiplicity: the index of the lattice spanned by ``rays``
+    in the lattice points of their span, the product of the Smith invariant
+    factors.  Independent of the cone kernel; dependent rays raise
+    ``InfiniteIndexError``."""
+    factors = invariant_factors(rays)
+    if len(factors) < len(rays) or 0 in factors:
+        raise InfiniteIndexError("cone generators are linearly dependent")
+    return prod(factors)
+
+
 def fraction_box_lattice_points(rays):
     """Reference for ``fans._box_lattice_points``: the same Smith-group
     enumeration with ``Fraction`` coefficients lam = (sum z_i U_i / s_i)
@@ -247,10 +263,14 @@ def scan_desingularize(fan):
     """Reference for ``fans.desingularize``: the same choice of target cone
     and ray, but every candidate is scored against every maximal cone, the
     multiplicities are read for every cone at every step, and each step is
-    a whole-fan ``stellar_subdivide``.  Needs no valid fan and no budget."""
+    a whole-fan ``stellar_subdivide``.  Every multiplicity is a Smith index.
+    Needs no valid fan and no budget."""
     current = fan
     while True:
-        mults = {cone: _cone_index(current, cone) for cone in current.max_cones}
+        mults = {
+            cone: smith_index(tuple(current.rays[i] for i in cone))
+            for cone in current.max_cones
+        }
         worst = max(mults.values(), default=1)
         if worst == 1:
             return current
@@ -274,7 +294,7 @@ def scan_desingularize(fan):
                 for pos, coeff in enumerate(coords):
                     if coeff > 0:
                         child = rays[:pos] + (w,) + rays[pos + 1:]
-                        score = max(score, _multiplicity(child))
+                        score = max(score, smith_index(child))
             if best_score is None or score < best_score:
                 best_score, best_w = score, w
         assert best_w is not None

@@ -9,24 +9,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasilines
-from conftest import determinant, fraction_box_lattice_points, gauss_jordan_solve
+from conftest import (
+    determinant,
+    fraction_box_lattice_points,
+    gauss_jordan_solve,
+    invariant_factors,
+    smith_index,
+)
 from quasilines import cli, divisors, fans, lattice, models
 from quasilines.cubic import Poly
-from quasilines.divisors import SupportFunction, cartier_certificate
+from quasilines.divisors import SupportFunction, _integral_cone_solution, cartier_certificate
 from quasilines.fans import (
     Fan,
     _box_lattice_points,
-    _multiplicity,
     cone_contains,
     cone_coordinates,
     cone_multiplicity,
     cyclic_quotient_fans,
 )
 from quasilines.lattice import (
+    InfiniteIndexError,
     NoSolutionError,
-    invariant_factors,
     primitive,
     rational_inverse,
+    solve_rational_linear,
     transpose,
 )
 
@@ -101,12 +107,12 @@ class TestRationalInverse:
 
 class TestConeMembership:
     @settings(max_examples=400, deadline=None)
-    @given(simplicial_cones())
-    def test_signs_match_oracle(self, case):
+    @given(simplicial_cones(), st.sampled_from([gauss_jordan_solve, solve_rational_linear]))
+    def test_signs_match_oracle(self, case, solve):
         fan, point = case
         cone = fan.max_cones[0]
         try:
-            expected = gauss_jordan_solve(transpose(fan.rays), point).x
+            expected = solve(transpose(fan.rays), point).x
         except NoSolutionError:
             expected = None
         coords = cone_coordinates(fan, cone, point)
@@ -159,9 +165,81 @@ class TestMultiplicity:
             determinant(tuple(tuple(ray[j] for j in cols) for ray in rays))
             for cols in itertools.combinations(range(fan.dim), k)
         ))
-        assert _multiplicity(rays) == expected == prod(invariant_factors(rays))
+        assert fan.kernel(cone)[1] == smith_index(rays) == expected
+        assert expected == prod(invariant_factors(rays))
         if k == fan.dim:
             assert cone_multiplicity(fan, cone) == abs(determinant(rays))
+
+
+class TestOneKernel:
+    """``Fan.kernel`` on cones of every dimension k <= n <= 5 against the
+    Smith-form oracles: ``solve_rational_linear`` and the Smith index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cones())
+    def test_kernel_identity(self, case):
+        fan, _ = case
+        cone = fan.max_cones[0]
+        rays = fan.rays
+        inv, d = fan.kernel(cone)
+        assert all(type(x) is int for row in inv for x in row)
+        assert len(inv) == len(cone) and all(len(row) == fan.dim for row in inv)
+        for i, row in enumerate(inv):
+            for j, ray in enumerate(rays):
+                assert sum(x * y for x, y in zip(row, ray)) == d * (i == j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cones(), st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+    def test_cone_solution_is_the_smith_solution(self, case, values):
+        fan, _ = case
+        cone = fan.max_cones[0]
+        rhs = tuple(values[:len(cone)])
+        expected = solve_rational_linear(fan.rays, rhs).x
+        integral, witness = _integral_cone_solution(fan, cone, rhs)
+        if all(x.denominator == 1 for x in expected):
+            assert witness is None
+            assert integral == tuple(int(x) for x in expected)
+        else:
+            assert integral is None
+            assert witness == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cones(), st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    def test_positive_coordinates_are_child_indices(self, case, weights):
+        fan, _ = case
+        cone = fan.max_cones[0]
+        rays = fan.rays
+        w = tuple(sum(c * ray[j] for c, ray in zip(weights, rays)) for j in range(fan.dim))
+        assume(any(w))
+        # Dividing by the gcd gives lattice points of the cone off the
+        # lattice the rays span.
+        w = primitive(w)
+        coords = cone_coordinates(fan, cone, w)
+        assert coords is not None and all(c >= 0 for c in coords)
+        for pos, coeff in enumerate(coords):
+            if coeff > 0:
+                assert coeff == smith_index(rays[:pos] + (w,) + rays[pos + 1:])
+
+
+class TestDependentCones:
+    # Rays 0 and 1 are opposite: cone (0, 1) is a line, not a simplicial
+    # cone, and its points have no unique coordinates to read signs from.
+    LINE = Fan(3, ((1, 0, 0), (-1, 0, 0), (0, 0, 1)), ((0, 1), (2,)))
+
+    def test_membership_raises(self):
+        with pytest.raises(InfiniteIndexError):
+            cone_contains(self.LINE, (0, 1), (-1, 0, 0))
+        with pytest.raises(InfiniteIndexError):
+            self.LINE.kernel((0, 1))
+
+    def test_is_toric_morphism_raises(self):
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        src = Fan(3, ((0, 0, 1),), ((0,),))
+        with pytest.raises(InfiniteIndexError):
+            fans.is_toric_morphism(identity, src, self.LINE)
+
+    def test_validation_reports_it(self):
+        assert fans.validate_fan(self.LINE).violations == ("cone 0 is not simplicial",)
 
 
 class TestBoxLatticePoints:
@@ -225,6 +303,10 @@ def test_deleted_names_stay_gone():
     assert not hasattr(fans, "Fraction")
     for module, name in [
         (fans, "_general_multiplicity"),
+        # Fan.kernel gives the multiplicity of a cone of any dimension.
+        (fans, "_cone_index"),
+        (fans, "_multiplicity"),
+        (lattice, "invariant_factors"),
         # Each fan keeps its own kernels (Fan.kernel); no module-level cache.
         (fans, "cone_kernel"),
         (fans, "find_containing_cone"),

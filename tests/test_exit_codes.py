@@ -100,6 +100,8 @@ GOLDEN = [
      _usage("--n must be between 2 and 9 for the extension suite")),
     ("lemma-bad-samples", "lemma-a2 --n 2 --samples 1.5", 0, 1,
      _usage("argument --samples: invalid int value: '1.5'")),
+    ("lemma-negative-samples", "lemma-a2 --n 2 --samples -5", 0, 1,
+     _usage("the sample count must be non-negative")),
     ("bundle-unknown-op", "bundle flip --type 1,2", 0, 1,
      _usage("argument subop: invalid choice: 'flip' (choose from 'elm', 'plan', "
             "'self-int', 'recover', 'cor17', 'thm41', 'thm16', 'point')")),
@@ -350,6 +352,18 @@ class TestFormerlyHiddenDefects:
         # Reported as "empty range for randrange() (1, 0, -1)" before.
         assert run(shlex.split(argv)) == (
             1, _usage("the coefficient bound must be non-negative")
+        )
+
+    @pytest.mark.parametrize("argv", [
+        "lemma-a2 --n 2 --samples -5",
+        "lemma-a2 --n 3 --samples=-1 --format structured",
+    ])
+    def test_negative_sample_count(self, capsys, argv):
+        # Reported "samples-requested: -5" and "all-ok: true", exit 0, before.
+        assert main(shlex.split(argv)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", _usage("the sample count must be non-negative")
         )
 
     def test_builtin_without_parameter_rejects_n(self):

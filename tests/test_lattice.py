@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import determinant
-from quasilines.fans import _multiplicity
+from conftest import determinant, invariant_factors, smith_index
+from quasilines.fans import Fan
 from quasilines.lattice import (
     InfiniteIndexError,
     NoSolutionError,
     ZeroVectorError,
     fm_feasible,
-    invariant_factors,
     mat_vec,
     primitive,
     rational_inverse,
@@ -45,6 +44,15 @@ def frac_mat_mul(a, b):
         tuple(sum(Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(inner)) for j in range(cols))
         for i in range(rows)
     )
+
+
+def multiplicity(rows):
+    """The multiplicity d of the cone kernel of ``rows``, and the Smith
+    index of the reference, which must agree."""
+    cone = tuple(range(len(rows)))
+    d = Fan(len(rows[0]), tuple(rows), (cone,)).kernel(cone)[1]
+    assert d == smith_index(rows)
+    return d
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -102,7 +110,7 @@ class TestSublatticeIndex:
     # The index of the lattice spanned by the rows is the multiplicity of
     # the cone they generate.
     def test_identity(self):
-        assert _multiplicity(identity_matrix(4)) == 1
+        assert multiplicity(identity_matrix(4)) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_quotient_lattice(self, n):
@@ -110,12 +118,15 @@ class TestSublatticeIndex:
             tuple((n + 1) if i == j == 0 else int(i == j) for j in range(n))
             for i in range(n)
         )
-        assert _multiplicity(basis) == n + 1
+        assert multiplicity(basis) == n + 1
 
     def test_degenerate(self):
         for rows in (((2, 0), (0, 0)), ((1, 2, 0), (2, 4, 0)), ((1, 0), (0, 1), (1, 1))):
             with pytest.raises(InfiniteIndexError):
-                _multiplicity(rows)
+                smith_index(rows)
+            cone = tuple(range(len(rows)))
+            with pytest.raises(InfiniteIndexError):
+                Fan(len(rows[0]), rows, (cone,)).kernel(cone)
 
     def test_matches_invariant_factor_product(self):
         rng = random.Random(7)
@@ -128,7 +139,7 @@ class TestSublatticeIndex:
             product = 1
             for f in invariant_factors(a):
                 product *= f
-            assert _multiplicity(a) == product == abs(determinant(a))
+            assert multiplicity(a) == product == abs(determinant(a))
 
 
 class TestPrimitive:
