@@ -12,14 +12,18 @@ face, so a point lies in exactly the cones through its carrier face: the
 desingularizer keeps the cones through each ray and scores and subdivides
 each candidate ray on that star alone, and the toric-morphism test finds
 the cones holding each image ray once.  A ``Fan`` keeps each kernel from
-first use for its own lifetime, and ``desingularize`` hands its kernels to
-the fan it returns.  The module also builds the fans of projective space
+first use for its own lifetime.  A stellar subdivision derives each new
+cone's kernel from its parent's, by one fraction-free exchange step when
+the cone is full-dimensional, so the fans that ``stellar_subdivide`` and
+``desingularize`` return hold a kernel for every maximal cone and compute
+none afresh.  The module also builds the fans of projective space
 and of its cyclic quotient of order n+1, together with the lattice
 inclusion realising the quotient map.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import prod
@@ -85,34 +89,38 @@ class Fan:
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernel(self, cone: Cone) -> tuple[Matrix, int]:
-        """Integer kernel (N, d) of a cone of any dimension, computed once.
-
-        With the k rays of the cone as the rows of R, N is k x dim and
-        N R^T = d I, where d is the cone's multiplicity: the index of the
-        lattice the rays span in the lattice points of their span.  A
-        full-dimensional cone takes N by fraction-free elimination and
-        d = |det R|.  A smaller cone takes the Smith form U R V = S with
-        invariant factors s_i: d = prod s_i and N = U^T diag(d / s_i)
-        V[:, :k]^T.  Dependent rays raise ``InfiniteIndexError``.
-        """
+        """Integer kernel (N, d) of a cone of any dimension (see
+        ``_integer_kernel``), computed once per fan."""
         if cone not in self._kernels:
-            rays = [self.rays[i] for i in cone]
-            k = len(rays)
-            if k == self.dim:
-                self._kernels[cone] = rational_inverse(transpose(rays))
-            else:
-                u, s, v = smith_normal_form(rays)
-                factors = [s[i][i] for i in range(min(k, self.dim))]
-                if len(factors) < k or 0 in factors:
-                    raise InfiniteIndexError("cone generators are linearly dependent")
-                d = prod(factors)
-                scaled = [tuple(d // f * x for x in row) for f, row in zip(factors, u)]
-                inv = tuple(
-                    tuple(sum(scaled[a][i] * v[j][a] for a in range(k)) for j in range(self.dim))
-                    for i in range(k)
-                )
-                self._kernels[cone] = inv, d
+            self._kernels[cone] = _integer_kernel([self.rays[i] for i in cone], self.dim)
         return self._kernels[cone]
+
+
+def _integer_kernel(rays, dim: int) -> tuple[Matrix, int]:
+    """Integer kernel (N, d) of the cone spanned by ``rays`` in ``dim``.
+
+    With the k rays as the rows of R, N is k x dim and N R^T = d I, where d
+    is the cone's multiplicity: the index of the lattice the rays span in
+    the lattice points of their span.  A full-dimensional cone takes N by
+    fraction-free elimination and d = |det R|; N is then unique.  A smaller
+    cone takes the Smith form U R V = S with invariant factors s_i:
+    d = prod s_i and N = U^T diag(d / s_i) V[:, :k]^T, one left inverse
+    among many.  Dependent rays raise ``InfiniteIndexError``.
+    """
+    k = len(rays)
+    if k == dim:
+        return rational_inverse(transpose(rays))
+    u, s, v = smith_normal_form(rays)
+    factors = [s[i][i] for i in range(min(k, dim))]
+    if len(factors) < k or 0 in factors:
+        raise InfiniteIndexError("cone generators are linearly dependent")
+    d = prod(factors)
+    scaled = [tuple(d // f * x for x in row) for f, row in zip(factors, u)]
+    inv = tuple(
+        tuple(sum(scaled[a][i] * v[j][a] for a in range(k)) for j in range(dim))
+        for i in range(k)
+    )
+    return inv, d
 
 
 @dataclass(frozen=True)
@@ -305,8 +313,10 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
 
     Every maximal cone containing ``w``, found by scanning every cone, is
     replaced by the joins of ``w`` with its facets not containing ``w``;
-    cones away from ``w`` survive unchanged, and so do their kernels in the
-    new fan's store.  Subdividing at an existing ray returns an equal fan.
+    cones away from ``w`` survive unchanged.  The new fan's store holds a
+    kernel for every maximal cone: the scan's kernels for the survivors and
+    those of ``_star_children`` for the joins.  Subdividing at an existing
+    ray returns an equal fan.
     """
     w = tuple(int(x) for x in w)
     if all(x == 0 for x in w):
@@ -326,27 +336,41 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
     else:
         w_index = len(fan.rays)
         new_rays = fan.rays + (w,)
-    new_cones = {cone for cone in fan.max_cones if cone not in star}
-    kept = {cone: fan._kernels[cone] for cone in new_cones if cone in fan._kernels}
-    new_cones.update(child for child, _ in _star_children(star.items(), w_index))
-    return _sharing_kernels(Fan(fan.dim, new_rays, tuple(sorted(new_cones))), kept)
+    kernels = {cone: fan._kernels[cone] for cone in fan.max_cones if cone not in star}
+    for cone, coords in star.items():
+        kernels.update(_star_children(new_rays, cone, coords, fan._kernels[cone], w_index))
+    return _sharing_kernels(Fan(fan.dim, new_rays, tuple(sorted(kernels))), kernels)
 
 
-def _star_children(star, w_index: int):
-    """Cones that replace the star of a point w in a stellar subdivision.
+def _star_children(rays, cone: Cone, coords, kernel, w_index: int):
+    """The cones, each with its kernel, that replace ``cone`` when a stellar
+    subdivision adds the lattice point w = ``rays[w_index]``.
 
-    ``star`` holds (cone, coordinates of w) pairs with nonnegative
-    coordinates, and ``w_index`` is the ray index of w.  Each cone gives
-    the join of w with its facet opposite each ray of positive coordinate;
-    the child is yielded with that coordinate.  For kernel coordinates of a
-    lattice point w that is the child's multiplicity, in every dimension:
-    the child spans the same space, and replacing ray i by w = sum x_j ray_j
-    scales the index d of the cone by x_i (Cramer's rule).
+    ``coords`` = N w are the kernel coordinates of w in ``cone``, all
+    nonnegative, where ``kernel`` = (N, d).  The join of w with the facet
+    opposite each ray of positive coordinate c = coords[pos] is yielded.
+    Its multiplicity is c in every dimension: w = sum c_j ray_j / d, so
+    replacing ray pos by w scales the index d by c / d (Cramer's rule).  A
+    full-dimensional child takes its kernel by one fraction-free exchange
+    step, as ``rational_inverse`` takes it (Bareiss 1968): row pos stays,
+    row i becomes (c N_i - c_i N_pos) / d, every entry is a minor so the
+    division is exact, and the rows follow the child's ray order.  A
+    lower-dimensional child has many left inverses, so it takes its own
+    from ``_integer_kernel``, as an equal fan would.
     """
-    for cone, coords in star:
-        for ray_idx, coeff in zip(cone, coords):
-            if coeff > 0:
-                yield tuple(sorted(set(cone) - {ray_idx} | {w_index})), coeff
+    inv, d = kernel
+    dim = len(rays[w_index])
+    for pos, c in enumerate(coords):
+        if c > 0:
+            child = tuple(sorted(set(cone) - {cone[pos]} | {w_index}))
+            if len(cone) < dim:
+                yield child, _integer_kernel([rays[i] for i in child], dim)
+                continue
+            rows = {w_index: inv[pos]}
+            for i, row, ci in zip(cone, inv, coords):
+                if i != cone[pos]:
+                    rows[i] = tuple([(c * x - ci * y) // d for x, y in zip(row, inv[pos])])
+            yield child, (tuple(rows[i] for i in child), c)
 
 
 def _box_lattice_points(rays: tuple[Vec, ...]) -> set[Vec]:
@@ -382,11 +406,11 @@ def _carrier_star(holders: dict[int, set[Cone]], cone: Cone, coords) -> set[Cone
 
     ``coords`` are the point's coordinates in ``cone``, and the carrier face
     is spanned by the rays of positive coordinate; ``holders`` maps each ray
-    index to the cones through it.  In a valid fan the point lies in the
-    relative interior of its carrier face, so these are exactly the cones
-    that contain it.
+    index to the cones through it, and the sets are intersected smallest
+    first.  In a valid fan the point lies in the relative interior of its
+    carrier face, so these are exactly the cones that contain it.
     """
-    return set.intersection(*(holders[i] for i, c in zip(cone, coords) if c > 0))
+    return set.intersection(*sorted((holders[i] for i, c in zip(cone, coords) if c > 0), key=len))
 
 
 def desingularize(fan: Fan) -> Fan:
@@ -407,24 +431,32 @@ def desingularize(fan: Fan) -> Fan:
     carrier face F, the face of the target cone spanned by the rays on
     which w has a positive coordinate.  The cones through each ray are kept
     from step to step, and star(F) is the intersection of those sets over
-    F; w is scored and the fan subdivided on star(F) alone.  A cone's
-    multiplicity is its kernel's d, and a candidate's kernel coordinates
-    are the multiplicities of its children, so a step computes no child's
-    multiplicity on its own.  Rays are only appended, so one kernel store, keyed by cone, serves every
-    step and then the returned fan.
+    F; w is scored and the fan subdivided on star(F) alone.  w lies in the
+    span of every cone of star(F), and its kernel coordinates there are the
+    multiplicities of the children, so a candidate's score is its largest
+    coordinate.  One table maps each live cone to its kernel: the input
+    cones' kernels are read once, and each child inherits its kernel from
+    ``_star_children``.  A heap keyed by (-d, cone), whose entries for
+    replaced cones are skipped, gives the target.  Rays are only appended,
+    so the table serves every step and then the returned fan, which
+    computes no kernel afresh.
     """
     dim, rays = fan.dim, fan.rays
-    mults = {cone: fan.kernel(cone)[1] for cone in fan.max_cones}
-    kernels = dict(fan._kernels)
+    kernels = {cone: fan.kernel(cone) for cone in fan.max_cones}
+    heap = [(-d, cone) for cone, (_, d) in kernels.items() if d > 1]
+    heapq.heapify(heap)
     holders: dict[int, set[Cone]] = {}
-    for cone in mults:
+    for cone in kernels:
         for i in cone:
             holders.setdefault(i, set()).add(cone)
     steps = 0
     while True:
-        worst = max(mults.values(), default=1)
-        if worst == 1:
-            return _sharing_kernels(Fan(dim, rays, tuple(sorted(mults))), kernels) if steps else fan
+        while heap and heap[0][1] not in kernels:
+            heapq.heappop(heap)
+        if not heap:
+            if not steps:
+                return fan
+            return _sharing_kernels(Fan(dim, rays, tuple(sorted(kernels))), kernels)
         if steps == DESINGULARIZATION_STEP_BUDGET:
             raise DesingularizationBudgetError(
                 f"desingularization needs more than {steps} stellar subdivisions, "
@@ -432,33 +464,27 @@ def desingularize(fan: Fan) -> Fan:
                 f"{DESINGULARIZATION_STEP_BUDGET}"
             )
         steps += 1
-        current = _sharing_kernels(Fan(dim, rays, tuple(mults)), kernels)
         w_index = len(rays)
-        target = min(cone for cone, m in mults.items() if m == worst)
+        target = heapq.heappop(heap)[1]
+
+        def scored(w):
+            cones = _carrier_star(holders, target, mat_vec(kernels[target][0], w))
+            star = {cone: mat_vec(kernels[cone][0], w) for cone in cones}
+            return max(map(max, star.values())), w, star
+
         target_rays = tuple(rays[i] for i in target)
         candidates = sorted({primitive(p) for p in _box_lattice_points(target_rays)})
-        best = None
-        for w in candidates:
-            coords = cone_coordinates(current, target, w)
-            star = {target: coords}
-            for cone in _carrier_star(holders, target, coords) - {target}:
-                star[cone] = cone_coordinates(current, cone, w)
-            children = dict(_star_children(star.items(), w_index))
-            score = max(children.values())
-            if best is None or score < best[0]:
-                best = (score, w, star, children)
-        assert best is not None
-        _, w, star, children = best
+        _, w, star = min(map(scored, candidates))
         rays += (w,)
-        for cone in star:
-            del mults[cone]
-            kernels.pop(cone, None)
+        for cone, coords in star.items():
             for i in cone:
                 holders[i].discard(cone)
-        for child, m in children.items():
-            mults[child] = m
-            for i in child:
-                holders.setdefault(i, set()).add(child)
+            for child, kernel in _star_children(rays, cone, coords, kernels.pop(cone), w_index):
+                kernels[child] = kernel
+                for i in child:
+                    holders.setdefault(i, set()).add(child)
+                if kernel[1] > 1:
+                    heapq.heappush(heap, (-kernel[1], child))
 
 
 def is_toric_morphism(hom: LatticeHom, src: Fan, dst: Fan) -> bool:

@@ -243,10 +243,7 @@ def _normalize_row(row: Row):
     coeffs, rhs = row[:-1], row[-1]
     if all(c == 0 for c in coeffs):
         return "infeasible" if rhs > 0 else None
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in row)
+    return primitive(row)
 
 
 def _fm_system(rows) -> tuple[dict[int, Row], bool]:

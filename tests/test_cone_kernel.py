@@ -277,24 +277,32 @@ class TestKernelStore:
         assert len(inverse_calls) == 2 * len(first.max_cones)
 
     def test_desingularize_computes_each_kernel_once(self, inverse_calls):
-        smooth = fans.desingularize(cyclic_quotient_fans(5)[1])
+        # Only the input cones are inverted, in their order: every child
+        # inherits its kernel, so the result's smoothness costs nothing.
+        quotient = cyclic_quotient_fans(5)[1]
+        smooth = fans.desingularize(quotient)
+        assert len(smooth.max_cones) == 180
+        assert inverse_calls == [
+            transpose([quotient.rays[i] for i in cone]) for cone in quotient.max_cones
+        ]
+        inverse_calls.clear()
         assert fans.is_smooth(smooth)
-        assert len(inverse_calls) == len(set(inverse_calls)) > len(smooth.max_cones)
+        assert inverse_calls == []
 
     def test_desingularize_hands_its_kernels_on(self, inverse_calls):
-        # P(1, 1, 2): cone 0 2 has multiplicity 2, the other two are smooth
-        # and survive the one subdivision with the kernels read for them.
+        # P(1, 1, 2): cone 0 2 has multiplicity 2 and is replaced by two
+        # children; the other two are smooth and survive the subdivision.
         weighted = fans.make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
         smooth = fans.desingularize(weighted)
         assert len(smooth.rays) == 4
         stored = dict(smooth._kernels)
-        # Only cones of the result are kept, and each under its own key.
-        assert set(stored) == {(0, 1), (1, 2)}
+        # Exactly the cones of the result are kept, each under its own key.
+        assert set(stored) == set(smooth.max_cones) == {(0, 1), (1, 2), (0, 3), (2, 3)}
         for cone, kernel in stored.items():
             assert kernel == rational_inverse(transpose([smooth.rays[i] for i in cone]))
         inverse_calls.clear()
         assert fans.is_smooth(smooth) and fans.is_smooth(smooth)
-        assert len(inverse_calls) == len(smooth.max_cones) - len(stored)
+        assert inverse_calls == []
 
 
 def test_deleted_names_stay_gone():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scan_desingularize, scan_is_toric_morphism, supports_agree
+from quasilines.cli import fan_from_doc
 from quasilines.fans import (
     BadDimensionError,
     Fan,
@@ -31,6 +32,8 @@ from quasilines.fans import (
     validate_fan,
 )
 from quasilines.lattice import mat_vec, primitive
+from quasilines.report import parse
+from test_cli import LOWER_DIM_FAN_DOC
 
 PLANE_CONE = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
 
@@ -171,7 +174,7 @@ class TestDesingularize:
 
     @pytest.mark.parametrize("n,rays,cones", [
         (2, 9, 9), (3, 14, 24), (4, 35, 105), (5, 38, 180), (6, 119, 915),
-        (7, 82, 864),
+        (7, 82, 864), (8, 177, 2700), (9, 282, 6200),
     ])
     def test_quotient_refinement_sizes(self, n, rays, cones):
         # Pins the ray chosen at every step: another scoring rule refines
@@ -187,6 +190,8 @@ class TestDesingularize:
         (5, "a70a7ad53cc3759789959f504befb05235f6baf00ee8c1d5393b6f6dbccc5768"),
         (6, "66ced54eff22b07f8d189202970582f6f350e3903591bf1f73d511c261910f89"),
         (7, "8fa06343e3126f02e394c8af495956db0312bb8091c8a2b3536dfc02fafaef7b"),
+        (8, "c1e1b235204d2d76b0d9061e7106ac396675abe530047c8875ef1964242df78a"),
+        (9, "3164f6270a7827257ae556ab67e3164813ec3cef3bb396109076ca03770b2381"),
     ])
     def test_quotient_refinement_bytes(self, n, digest):
         # SHA-256 of repr of each refinement as the whole-fan scan chose it:
@@ -373,3 +378,50 @@ class TestStarAgainstScan:
     def test_is_toric_morphism_equals_scan(self, case):
         hom, src, dst = case
         assert is_toric_morphism(hom, src, dst) == scan_is_toric_morphism(hom, src, dst)
+
+
+LOWER_DIM_FAN = fan_from_doc(parse(LOWER_DIM_FAN_DOC))
+
+
+@st.composite
+def subdivisions(draw):
+    """A quotient fan, n = 2..5, a valid ``subdivided_fans`` fan or the
+    lower-dimensional fan of ``LOWER_DIM_FAN_DOC``, and the fans of up to
+    two stellar subdivisions of it at lattice points of its support."""
+    kind = draw(st.sampled_from(("quotient", "subdivided", "lower")))
+    if kind == "quotient":
+        fan = draw(st.sampled_from(cyclic_quotient_fans(draw(st.integers(2, 5)))[:2]))
+    elif kind == "subdivided":
+        fan, _ = draw(VALID_FANS)
+    else:
+        fan = LOWER_DIM_FAN
+    steps = []
+    for _ in range(draw(st.integers(0, 2))):
+        cone = draw(st.sampled_from(fan.max_cones))
+        face = draw(st.lists(st.sampled_from(cone), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(face), max_size=len(face)))
+        w = tuple(
+            sum(c * fan.rays[i][j] for c, i in zip(weights, face)) for j in range(fan.dim)
+        )
+        fan = stellar_subdivide(fan, primitive(w))
+        steps.append(fan)
+    return fan, steps
+
+
+class TestInheritedKernels:
+    """The kernels ``stellar_subdivide`` and ``desingularize`` hand on
+    against those an equal fan computes for itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(subdivisions())
+    def test_every_cone_keeps_the_kernel_an_equal_fan_computes(self, case):
+        fan, steps = case
+        for result in steps + [desingularize(fan)]:
+            fresh = Fan(result.dim, result.rays, result.max_cones)
+            for cone in result.max_cones:
+                inv, d = result._kernels[cone]
+                for row, i in zip(inv, cone):
+                    assert [sum(x * y for x, y in zip(row, result.rays[j])) for j in cone] == [
+                        d * (j == i) for j in cone
+                    ]
+                assert (inv, d) == fresh.kernel(cone)
