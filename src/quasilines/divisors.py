@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QuasilinesError, UsageError
-from .fans import Cone, Fan, cone_contains, desingularize, is_smooth, is_toric_morphism
+from .fans import (
+    Cone,
+    Fan,
+    cone_contains,
+    cyclic_quotient_fans,
+    desingularize,
+    is_smooth,
+    is_toric_morphism,
+)
 from .lattice import (
     FracVec,
     Vec,
@@ -357,8 +365,6 @@ def quotient_extension_check(
     Returns the report together with the quotient fan and its smooth
     refinement, for reporting.
     """
-    from .fans import cyclic_quotient_fans
-
     _, quotient, _ = cyclic_quotient_fans(n)
     refined = desingularize(quotient)
     base = quotient_hyperplane_support(quotient)

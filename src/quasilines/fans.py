@@ -3,8 +3,9 @@
 Only simplicial fans are supported; every cone is stored as a sorted tuple of
 ray indices.  Membership, Cartier and scoring questions on a cone of any
 dimension read signs, or divisibility by d, off its integer kernel (N, d),
-and d is its multiplicity; the Smith normal form also enumerates, in
-integers, the lattice points of a cone's half-open box.
+and d is its multiplicity; mod d, the columns of N generate a group whose
+elements are the lattice points of the cone's half-open box.  The Smith
+normal form only gives the first kernel of a lower-dimensional cone.
 Validation accepts a complete fan of full-dimensional cones by a
 facet-pairing certificate on the same kernels; any other fan is decided by a
 Fourier-Motzkin test per pair of cones.  Cones of a valid fan meet face to
@@ -105,7 +106,9 @@ def _integer_kernel(rays, dim: int) -> tuple[Matrix, int]:
     fraction-free elimination and d = |det R|; N is then unique.  A smaller
     cone takes the Smith form U R V = S with invariant factors s_i:
     d = prod s_i and N = U^T diag(d / s_i) V[:, :k]^T, one left inverse
-    among many.  Dependent rays raise ``InfiniteIndexError``.
+    among many.  This one has R^T N = d V^-T[:, :k] V[:, :k]^T, so R^T N / d
+    is integral, as ``_box_lattice_points`` needs.  Dependent rays raise
+    ``InfiniteIndexError``.
     """
     k = len(rays)
     if k == dim:
@@ -373,32 +376,34 @@ def _star_children(rays, cone: Cone, coords, kernel, w_index: int):
             yield child, (tuple(rows[i] for i in child), c)
 
 
-def _box_lattice_points(rays: tuple[Vec, ...]) -> set[Vec]:
+def _box_lattice_points(rays: tuple[Vec, ...], kernel) -> set[Vec]:
     """Nonzero lattice points in the half-open parallelepiped of ``rays``.
 
-    Enumerated through the Smith normal form U R V = S of the generator
-    matrix R, so the cost is proportional to the cone multiplicity rather
-    than to any coordinate bounding box.  Residues z_i mod s_i give the
-    coefficients lam = (sum z_i U_i / s_i) mod 1 of a point lam R.  Every
-    invariant factor divides the largest one, D, so the enumeration runs in
-    integers: D lam = (sum z_i (D / s_i) U_i) mod D, and (D lam) R / D is an
-    exact division.
+    Read off the cone's kernel (N, d), so the cost is proportional to the
+    multiplicity d rather than to any coordinate bounding box (Cox, Little
+    and Schenck 2011, section 11.1).  x -> N x mod d maps Z^dim onto the box
+    group of the cone, which has d elements, so a breadth-first closure over
+    the columns of N lists the group, and each nonzero element g gives the
+    box point (sum g_i ray_i) / d, an exact division.  For a full-dimensional
+    cone N is unique.  For a smaller one this holds only for the Smith-form
+    left inverse of ``_integer_kernel``: there R^T N / d is integral, so
+    every N x is N p for a lattice point p of the span.  An arbitrary integer
+    left inverse need not have that property.
     """
-    k = len(rays)
-    u, s, _ = smith_normal_form(rays)
-    factors = [s[i][i] for i in range(k)]
-    if any(f == 0 for f in factors):
-        raise InfiniteIndexError("cone generators are linearly dependent")
-    big = factors[-1]
-    weights = [tuple(big // f * x for x in row) for f, row in zip(factors, u)]
-    points: set[Vec] = set()
-    for residues in itertools.product(*(range(f) for f in factors)):
-        lam = [sum(z * w[i] for z, w in zip(residues, weights)) % big for i in range(k)]
-        scaled = [sum(lam[i] * rays[i][j] for i in range(k)) for j in range(len(rays[0]))]
-        assert all(c % big == 0 for c in scaled)
-        if any(scaled):
-            points.add(tuple(c // big for c in scaled))
-    return points
+    inv, d = kernel
+    columns = {tuple(x % d for x in column) for column in zip(*inv)}
+    group = [(0,) * len(rays)]
+    seen = set(group)
+    for g in group:
+        for column in columns:
+            h = tuple([(x + y) % d for x, y in zip(g, column)])
+            if h not in seen:
+                seen.add(h)
+                group.append(h)
+    return {
+        tuple([sum(c * x for c, x in zip(g, column)) // d for column in zip(*rays)])
+        for g in group[1:]
+    }
 
 
 def _carrier_star(holders: dict[int, set[Cone]], cone: Cone, coords) -> set[Cone]:
@@ -417,12 +422,13 @@ def desingularize(fan: Fan) -> Fan:
     """Refine ``fan`` by stellar subdivisions until every cone is smooth.
 
     Strategy: take a maximal cone of largest multiplicity (ties broken by
-    the lexicographically smallest index tuple), enumerate in integers the
-    lattice points of its half-open generator parallelepiped, and subdivide
-    at the primitive candidate minimising the largest multiplicity among the
-    cones the subdivision creates, ties again lexicographic.  Each child
-    cone has strictly smaller multiplicity than its parent, so the procedure
-    terminates; the support and the original rays are preserved.  More than
+    the lexicographically smallest index tuple), read the lattice points of
+    its half-open generator parallelepiped off its kernel
+    (``_box_lattice_points``), and subdivide at the primitive candidate
+    minimising the largest multiplicity among the cones the subdivision
+    creates, ties again lexicographic.  Each child cone has strictly
+    smaller multiplicity than its parent, so the procedure terminates; the
+    support and the original rays are preserved.  More than
     ``DESINGULARIZATION_STEP_BUDGET`` subdivisions raise
     ``DesingularizationBudgetError``.  A smooth input is returned as is.
 
@@ -436,10 +442,12 @@ def desingularize(fan: Fan) -> Fan:
     multiplicities of the children, so a candidate's score is its largest
     coordinate.  One table maps each live cone to its kernel: the input
     cones' kernels are read once, and each child inherits its kernel from
-    ``_star_children``.  A heap keyed by (-d, cone), whose entries for
-    replaced cones are skipped, gives the target.  Rays are only appended,
-    so the table serves every step and then the returned fan, which
-    computes no kernel afresh.
+    ``_star_children``, the Smith-form one in a lower dimension.  So each
+    target's box is read off the table, and only a new lower-dimensional
+    child takes a Smith form.  A heap keyed by (-d, cone), whose entries
+    for replaced cones are skipped, gives the target.  Rays are only
+    appended, so the table serves every step and then the returned fan,
+    which computes no kernel afresh.
     """
     dim, rays = fan.dim, fan.rays
     kernels = {cone: fan.kernel(cone) for cone in fan.max_cones}
@@ -472,8 +480,8 @@ def desingularize(fan: Fan) -> Fan:
             star = {cone: mat_vec(kernels[cone][0], w) for cone in cones}
             return max(map(max, star.values())), w, star
 
-        target_rays = tuple(rays[i] for i in target)
-        candidates = sorted({primitive(p) for p in _box_lattice_points(target_rays)})
+        box = _box_lattice_points(tuple(rays[i] for i in target), kernels[target])
+        candidates = sorted({primitive(p) for p in box})
         _, w, star = min(map(scored, candidates))
         rays += (w,)
         for cone, coords in star.items():

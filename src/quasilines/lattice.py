@@ -260,6 +260,17 @@ def _fm_system(rows) -> tuple[dict[int, Row], bool]:
     return {1 << i: row for i, row in enumerate(sorted(distinct))}, contradiction
 
 
+def _within_fm_budget(rows: dict[int, Row]) -> dict[int, Row]:
+    """``rows``, or ``FourierMotzkinBudgetError`` when they number more than
+    ``FM_ROW_BUDGET``."""
+    if len(rows) > FM_ROW_BUDGET:
+        raise FourierMotzkinBudgetError(
+            f"Fourier-Motzkin elimination reached {len(rows)} rows, "
+            f"over the budget FM_ROW_BUDGET = {FM_ROW_BUDGET}"
+        )
+    return rows
+
+
 def _fm_eliminate(system: dict[int, Row], var: int, depth: int) -> tuple[dict[int, Row], bool]:
     """One Fourier-Motzkin step: the rows of the projection along ``var``,
     and whether a combination read 0 >= positive (no real solution).
@@ -272,11 +283,12 @@ def _fm_eliminate(system: dict[int, Row], var: int, depth: int) -> tuple[dict[in
     (Chernikov 1965): one of more than depth + 1 input rows, and a second
     one with the same history.  Which pairs are combined depends on the
     signs of the coefficients alone, never on the right-hand sides.  Raises
-    ``FourierMotzkinBudgetError`` when the result exceeds ``FM_ROW_BUDGET``.
+    ``FourierMotzkinBudgetError`` as soon as the result, the kept rows
+    first and then each new row, exceeds ``FM_ROW_BUDGET``.
     """
     pos = [(h, r) for h, r in system.items() if r[var] > 0]
     neg = [(h, r) for h, r in system.items() if r[var] < 0]
-    keep = {h: r for h, r in system.items() if r[var] == 0}
+    keep = _within_fm_budget({h: r for h, r in system.items() if r[var] == 0})
     contradiction = False
     for hp, p in pos:
         for hq, q in neg:
@@ -289,11 +301,7 @@ def _fm_eliminate(system: dict[int, Row], var: int, depth: int) -> tuple[dict[in
                 contradiction = True
             elif reduced is not None:
                 keep[history] = reduced
-    if len(keep) > FM_ROW_BUDGET:
-        raise FourierMotzkinBudgetError(
-            f"Fourier-Motzkin elimination reached {len(keep)} rows, "
-            f"over the budget FM_ROW_BUDGET = {FM_ROW_BUDGET}"
-        )
+                _within_fm_budget(keep)
     return keep, contradiction
 
 

@@ -20,7 +20,6 @@ from quasilines.divisors import (
 )
 from quasilines.errors import UsageError
 from quasilines.fans import (
-    _box_lattice_points,
     cone_contains,
     cone_coordinates,
     stellar_subdivide,
@@ -196,9 +195,9 @@ def smith_index(rays):
 
 
 def fraction_box_lattice_points(rays):
-    """Reference for ``fans._box_lattice_points``: the same Smith-group
+    """Reference for ``fans._box_lattice_points``: the Smith-group
     enumeration with ``Fraction`` coefficients lam = (sum z_i U_i / s_i)
-    mod 1 and points lam R."""
+    mod 1 and points lam R, independent of the cone kernel."""
     k = len(rays)
     u, s, _ = smith_normal_form(rays)
     factors = [s[i][i] for i in range(k)]
@@ -276,7 +275,7 @@ def scan_desingularize(fan):
             return current
         target = min(cone for cone, m in mults.items() if m == worst)
         target_rays = tuple(current.rays[i] for i in target)
-        candidates = sorted({primitive(p) for p in _box_lattice_points(target_rays)})
+        candidates = sorted({primitive(p) for p in fraction_box_lattice_points(target_rays)})
         best_w = None
         best_score = None
         for w in candidates:
@@ -404,4 +403,17 @@ def inverse_calls(monkeypatch):
         return lattice.rational_inverse(a)
 
     monkeypatch.setattr(fans, "rational_inverse", counting)
+    return calls
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The matrices ``fans`` passes to ``smith_normal_form`` from now on."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return lattice.smith_normal_form(a)
+
+    monkeypatch.setattr(fans, "smith_normal_form", counting)
     return calls

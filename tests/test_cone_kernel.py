@@ -248,7 +248,8 @@ class TestBoxLatticePoints:
     def test_matches_fraction_oracle(self, case):
         fan, _ = case
         rays = fan.rays
-        assert _box_lattice_points(rays) == fraction_box_lattice_points(rays)
+        kernel = fan.kernel(fan.max_cones[0])
+        assert _box_lattice_points(rays, kernel) == fraction_box_lattice_points(rays)
 
 
 class TestKernelStore:

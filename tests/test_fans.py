@@ -19,6 +19,7 @@ from quasilines.fans import (
     _box_lattice_points,
     _carrier_star,
     _certifies_complete,
+    _integer_kernel,
     _meet_in_common_face,
     cone_contains,
     cone_coordinates,
@@ -144,11 +145,20 @@ class TestStellarSubdivide:
 
 class TestBoxLatticePoints:
     def test_singular_quotient_cone(self):
-        points = _box_lattice_points(((3, -2), (0, 1)))
+        rays = ((3, -2), (0, 1))
+        points = _box_lattice_points(rays, _integer_kernel(rays, 2))
         assert points == {(1, 0), (2, -1)}
 
     def test_smooth_cone_has_none(self):
-        assert _box_lattice_points(((1, 0), (0, 1))) == set()
+        rays = ((1, 0), (0, 1))
+        assert _box_lattice_points(rays, _integer_kernel(rays, 2)) == set()
+
+    def test_lower_dimensional_cone(self):
+        # Cone (0, 1) of TestLowerDimensionalCone.FAN spans the plane z = 0
+        # with multiplicity 2: its one box point is half the sum of its rays.
+        fan = TestLowerDimensionalCone.FAN
+        rays = tuple(fan.rays[i] for i in (0, 1))
+        assert _box_lattice_points(rays, fan.kernel((0, 1))) == {(1, 1, 0)}
 
 
 class TestDesingularize:
@@ -174,7 +184,7 @@ class TestDesingularize:
 
     @pytest.mark.parametrize("n,rays,cones", [
         (2, 9, 9), (3, 14, 24), (4, 35, 105), (5, 38, 180), (6, 119, 915),
-        (7, 82, 864), (8, 177, 2700), (9, 282, 6200),
+        (7, 82, 864), (8, 177, 2700), (9, 282, 6200), (10, 913, 28782),
     ])
     def test_quotient_refinement_sizes(self, n, rays, cones):
         # Pins the ray chosen at every step: another scoring rule refines
@@ -192,6 +202,7 @@ class TestDesingularize:
         (7, "8fa06343e3126f02e394c8af495956db0312bb8091c8a2b3536dfc02fafaef7b"),
         (8, "c1e1b235204d2d76b0d9061e7106ac396675abe530047c8875ef1964242df78a"),
         (9, "3164f6270a7827257ae556ab67e3164813ec3cef3bb396109076ca03770b2381"),
+        (10, "6f9cd1cdf3710287fba04f0e03c3679c0be2f5fbda2570a54faa6b4fc1c98e15"),
     ])
     def test_quotient_refinement_bytes(self, n, digest):
         # SHA-256 of repr of each refinement as the whole-fan scan chose it:
@@ -425,3 +436,23 @@ class TestInheritedKernels:
                         d * (j == i) for j in cone
                     ]
                 assert (inv, d) == fresh.kernel(cone)
+
+
+class TestSmithCalls:
+    """``desingularize`` reads each target's box off its kernel; the Smith
+    form only gives the first kernel of a lower-dimensional cone."""
+
+    def test_full_dimensional_fan_needs_none(self, smith_calls):
+        smooth = desingularize(cyclic_quotient_fans(5)[1])
+        assert len(smooth.max_cones) == 180
+        assert smith_calls == []
+
+    def test_one_call_per_lower_dimensional_kernel(self, smith_calls):
+        # The two input cones, then the children of cone 0 1 at (1, 1, 0):
+        # the one that replaces ray 0, then the one that replaces ray 1.
+        fan = Fan(LOWER_DIM_FAN.dim, LOWER_DIM_FAN.rays, LOWER_DIM_FAN.max_cones)
+        smooth = desingularize(fan)
+        assert smooth.max_cones == ((0, 4), (1, 4), (2, 3))
+        assert smith_calls == [
+            [smooth.rays[i] for i in cone] for cone in ((0, 1), (2, 3), (1, 4), (0, 4))
+        ]

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import determinant, invariant_factors, smith_index
+from quasilines import lattice
 from quasilines.fans import Fan
 from quasilines.lattice import (
+    FourierMotzkinBudgetError,
     InfiniteIndexError,
     NoSolutionError,
     ZeroVectorError,
     fm_feasible,
+    fm_projections,
     mat_vec,
     primitive,
     rational_inverse,
@@ -241,3 +244,20 @@ class TestFourierMotzkinFeasibility:
     def test_planted_farkas_combination_is_infeasible(self, case):
         dim, rows = case
         assert not fm_feasible(rows, dim)
+
+
+class TestFourierMotzkinBudget:
+    def test_stops_at_the_first_row_over_budget(self, monkeypatch):
+        # Eliminating u1 combines each of three positive rows with each of
+        # three negative ones: nine new rows, but the fifth is over budget.
+        monkeypatch.setattr(lattice, "FM_ROW_BUDGET", 4)
+        rows = [(a, 1, 0) for a in (1, 2, 3)] + [(b, -1, -b) for b in (1, 2, 3)]
+        with pytest.raises(FourierMotzkinBudgetError, match="reached 5 rows"):
+            fm_projections(rows, 2)
+
+    def test_counts_the_rows_carried_over(self, monkeypatch):
+        # No row has u1, so no row is new: the three kept rows are over.
+        monkeypatch.setattr(lattice, "FM_ROW_BUDGET", 2)
+        rows = [(1, 0, 0), (1, 0, -1), (1, 0, -2)]
+        with pytest.raises(FourierMotzkinBudgetError, match="reached 3 rows"):
+            fm_projections(rows, 2)
