@@ -1,10 +1,10 @@
 """Batch command line front end with reproducible, seedable runs.
 
-Subcommands: appendix, lemma-a2, bundle (elm | plan | self-int | recover |
-cor17 | thm41 | thm16), cubic, models, fan (validate | desingularize |
-cartier | h0).  Reports are line-oriented key/value documents with stable
-field order; an identical configuration renders to byte-identical
-structured output, and every header carries the seed in use.
+Subcommands: appendix, lemma-a2, bundle (elm | point | plan | self-int |
+recover | cor17 | thm41 | thm16), cubic, models, fan (validate |
+desingularize | cartier | h0).  Reports are line-oriented key/value
+documents with stable field order; an identical configuration renders to
+byte-identical structured output, and every header carries the seed in use.
 
 One table, ``_COMMANDS``, lists each command's positionals and options, and
 one scanner, ``quasilines.argscan``, reads argv against it.  A flag takes
@@ -86,8 +86,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
             values.append(int(token))
         except ValueError:
             raise UsageError(f"{flag}: position {position}: invalid integer {token!r}")
-    if not values:
-        raise UsageError(f"{flag}: at least one integer is required")
     return tuple(values)
 
 
@@ -253,8 +251,27 @@ def _require(args, flag: str, attr: str):
     return value
 
 
-def _type_from(args) -> SplittingType:
-    return SplittingType(_parse_int_list(_require(args, "--type", "type_"), "--type"))
+def _failing_cone_rows(certificate) -> list:
+    """The first cone on which a Cartier test fails, and its rational-only
+    solution."""
+    cone = certificate.failure_cone
+    return [
+        ("failing-cone", cone),
+        ("failing-cone-rays", certificate.support.fan.max_cones[cone]),
+        ("rational-solution", certificate.failure_solution),
+    ]
+
+
+def _section_rows(psi: SupportFunction) -> list:
+    """The sections polyhedron of ``psi``, its lattice points and their count."""
+    polyhedron = sections_polyhedron(psi)
+    counted = count_lattice_points(polyhedron)
+    return [
+        ("constraints", [normal + (rhs,) for normal, rhs in polyhedron.constraints]),
+        ("lattice-points", list(counted.points) or "none"),
+        ("section-count", counted.count),
+        ("h0", counted.count),
+    ]
 
 
 def _cmd_appendix(args) -> tuple[list, int]:
@@ -265,34 +282,27 @@ def _cmd_appendix(args) -> tuple[list, int]:
     psi_sub = quotient_hyperplane_support(sub_fan)
     cert_sub = cartier_certificate(psi_sub)
     cert_big = cartier_certificate(psi_big)
-    polyhedron = sections_polyhedron(psi_big)
-    counted = count_lattice_points(polyhedron)
     assert cert_sub.cartier and not cert_big.cartier
-    witness = cert_big.failure_solution
     entries = [
         ("report", "appendix"),
         ("seed", args.seed),
         ("n", args.n),
-        ("quotient-rays", [ray for ray in big_fan.rays]),
-        ("quotient-cones", [cone for cone in big_fan.max_cones]),
+        ("quotient-rays", list(big_fan.rays)),
+        ("quotient-cones", list(big_fan.max_cones)),
         ("quotient-multiplicities",
          tuple(cone_multiplicity(big_fan, c) for c in big_fan.max_cones)),
         ("quotient-smooth", is_smooth(big_fan)),
-        ("projective-rays", [ray for ray in sub_fan.rays]),
+        ("projective-rays", list(sub_fan.rays)),
         ("projective-smooth", is_smooth(sub_fan)),
         ("quotient-map", is_toric_morphism(inclusion, sub_fan, big_fan)),
         ("divisor-values", psi_big.values),
         ("cartier-on-projective", cert_sub.cartier),
-        ("projective-cone-duals", [dual for dual in cert_sub.cone_duals]),
+        ("projective-cone-duals", list(cert_sub.cone_duals)),
         ("cartier-on-quotient", cert_big.cartier),
-        ("failing-cone", cert_big.failure_cone),
-        ("failing-cone-rays", big_fan.max_cones[cert_big.failure_cone]),
-        ("rational-solution", witness),
-        ("witness-denominator-lcm", lcm(*(value.denominator for value in witness))),
-        ("constraints", [normal + (rhs,) for normal, rhs in polyhedron.constraints]),
-        ("lattice-points", [point for point in counted.points]),
-        ("section-count", counted.count),
-        ("h0", counted.count),
+        *_failing_cone_rows(cert_big),
+        ("witness-denominator-lcm",
+         lcm(*(value.denominator for value in cert_big.failure_solution))),
+        *_section_rows(psi_big),
     ]
     return entries, 0
 
@@ -329,87 +339,72 @@ def _cmd_lemma_a2(args) -> tuple[list, int]:
 
 
 def _cmd_bundle(args) -> tuple[list, int]:
-    header = [("report", f"bundle-{args.subop}"), ("seed", args.seed)]
-    if args.subop == "elm":
-        t = _type_from(args)
-        return header + [("type", str(t)), ("result", str(elementary_transform(t)))], 0
-    if args.subop == "point":
-        t = _type_from(args)
-        return header + [("type", str(t)), ("result", str(point_blowup(t)))], 0
-    if args.subop == "self-int":
-        t = _type_from(args)
-        return header + [("type", str(t)),
-                         ("self-intersections", self_intersections(t))], 0
+    entries = [("report", f"bundle-{args.subop}"), ("seed", args.seed)]
     if args.subop == "recover":
         targets = _parse_int_list(_require(args, "--targets", "targets"), "--targets")
         anchor = _require(args, "--anchor", "anchor")
         result = recover_splitting(targets, anchor)
-        return header + [("targets", targets), ("anchor", anchor),
-                         ("result", str(result))], 0
-    if args.subop == "plan":
-        t = _type_from(args)
-        plan = quasiline_plan(t)
-        return header + [
-            ("type", str(t)),
-            ("steps", plan.steps),
-            ("almost-line", plan.almost_line),
-            ("trajectory", [str(step) for step in plan.types]),
-            ("kinds", list(plan.kinds) if plan.kinds else "none"),
-        ], 0
-    if args.subop == "cor17":
-        t = _type_from(args)
-        n = args.n if args.n is not None else len(t) + 1
-        dd = DivisorData(d_y=_require(args, "--d", "d"),
-                         dim_d=_require(args, "--dimD", "dim_d"), n=n)
-        verdict = rationality_criterion(t, dd)
-        return header + [("type", str(t)), ("d", dd.d_y), ("dimD", dd.dim_d),
-                         ("n", n), ("rational-criterion", verdict)], 0
+        return entries + [("targets", targets), ("anchor", anchor),
+                          ("result", str(result))], 0
     if args.subop == "thm41":
         dd = DivisorData(d_y=_require(args, "--d", "d"),
                          dim_d=_require(args, "--dimD", "dim_d"),
                          n=_require(args, "--n", "n"))
         has_quasiline = _require(args, "--quasiline", "quasiline") == "true"
         verdict = strong_rationality_criterion(dd, has_quasiline)
-        return header + [("d", dd.d_y), ("dimD", dd.dim_d), ("n", dd.n),
-                         ("quasiline", has_quasiline),
-                         ("strongly-rational-criterion", verdict)], 0
-    if args.subop == "thm16":
-        t = _type_from(args)
-        n = args.n if args.n is not None else len(t) + 1
-        dd = DivisorData(d_y=_require(args, "--d", "d"),
-                         dim_d=_require(args, "--dimD", "dim_d"), n=n)
-        base = header + [("type", str(t)), ("d", dd.d_y), ("dimD", dd.dim_d), ("n", n)]
-        try:
-            reduction = fibration_reduction(t, dd)
-        except InapplicableReductionError as exc:
-            return base + [("applicable", False), ("reason", str(exc))], 0
-        return base + [
-            ("applicable", True),
-            ("reduced-type", str(reduction.reduced)),
-            ("reduced-d", reduction.d_y),
-            ("reduced-dimD", reduction.dim_d),
-            ("target-dim", reduction.target_dim),
+        return entries + [("d", dd.d_y), ("dimD", dd.dim_d), ("n", dd.n),
+                          ("quasiline", has_quasiline),
+                          ("strongly-rational-criterion", verdict)], 0
+    t = SplittingType(_parse_int_list(_require(args, "--type", "type_"), "--type"))
+    entries.append(("type", str(t)))
+    if args.subop == "elm":
+        return entries + [("result", str(elementary_transform(t)))], 0
+    if args.subop == "point":
+        return entries + [("result", str(point_blowup(t)))], 0
+    if args.subop == "self-int":
+        return entries + [("self-intersections", self_intersections(t))], 0
+    if args.subop == "plan":
+        plan = quasiline_plan(t)
+        return entries + [
+            ("steps", plan.steps),
+            ("almost-line", plan.almost_line),
+            ("trajectory", [str(step) for step in plan.types]),
+            ("kinds", list(plan.kinds) or "none"),
         ], 0
-    raise UsageError(f"unknown bundle operation {args.subop!r}")
+    # cor17 and thm16 read the divisor data; n defaults to the rank plus one.
+    dd = DivisorData(d_y=_require(args, "--d", "d"), dim_d=_require(args, "--dimD", "dim_d"),
+                     n=len(t) + 1 if args.n is None else args.n)
+    entries += [("d", dd.d_y), ("dimD", dd.dim_d), ("n", dd.n)]
+    if args.subop == "cor17":
+        return entries + [("rational-criterion", rationality_criterion(t, dd))], 0
+    try:
+        reduction = fibration_reduction(t, dd)
+    except InapplicableReductionError as exc:
+        return entries + [("applicable", False), ("reason", str(exc))], 0
+    return entries + [
+        ("applicable", True),
+        ("reduced-type", str(reduction.reduced)),
+        ("reduced-d", reduction.d_y),
+        ("reduced-dimD", reduction.dim_d),
+        ("target-dim", reduction.target_dim),
+    ], 0
 
 
 def _cmd_cubic(args) -> tuple[list, int]:
-    header = [("report", "cubic"), ("seed", args.seed),
-              ("coefficient-bound", args.bound)]
     if args.demo == "reducible":
         f, point = reducible_demo_instance()
         count_lines_through_point(f, point)  # raises DegenerateError
         raise AssertionError("the reducible demo must be degenerate")
     certificate = conic_count_certificate(args.seed, args.bound)
     report = certificate.report
-    coefficients = [
-        exps + (coeff,)
-        for exps, coeff in sorted(certificate.cubic.terms.items())
-    ]
-    entries = header + [
+    entries = [
+        ("report", "cubic"),
+        ("seed", args.seed),
+        ("coefficient-bound", args.bound),
         ("attempt", certificate.attempt),
         ("point", certificate.point),
-        ("cubic-coefficients", coefficients),
+        ("cubic-coefficients",
+         [exps + (coeff,) for exps, coeff in sorted(certificate.cubic.terms.items())]),
         ("resultant-coefficients", report.resultant),
         ("resultant-degree", report.resultant_degree),
         ("squarefree", report.squarefree),
@@ -470,9 +465,8 @@ def _cmd_models(args) -> tuple[list, int]:
         ("record", record.name),
         ("input-fields", [f"{k} = {fmt(v)}" for k, v in sorted(before.items())] or "none"),
         ("firings", [
-            f"{f.rule} [{' '.join(f.inputs)}] -> {f.derived.replace('True', 'true').replace('False', 'false')}"
-            for f in result.firings
-        ] if result.firings else "none"),
+            f"{f.rule} [{' '.join(f.inputs)}] -> {f.derived}" for f in result.firings
+        ] or "none"),
         ("derived-fields", [
             f"{k} = {fmt(v)}" for k, v in sorted(after.items()) if k not in before
         ] or "none"),
@@ -491,53 +485,37 @@ def _cmd_models(args) -> tuple[list, int]:
 
 def _cmd_fan(args) -> tuple[list, int]:
     fan, divisor = _load_fan(args)
-    header = [("report", f"fan-{args.subop}"), ("seed", args.seed)]
+    entries = [("report", f"fan-{args.subop}"), ("seed", args.seed)]
+    outcome = validate_fan(fan)
     if args.subop == "validate":
-        outcome = validate_fan(fan)
-        return header + [
+        return entries + [
             ("dim", fan.dim),
             ("ray-count", len(fan.rays)),
             ("cone-count", len(fan.max_cones)),
             ("valid", outcome.valid),
-            ("violations", list(outcome.violations) if outcome.violations else "none"),
+            ("violations", list(outcome.violations) or "none"),
         ], 0
-    outcome = validate_fan(fan)
     if not outcome.valid:
         raise UsageError(f"invalid fan: {outcome.violations[0]}")
     if args.subop == "desingularize":
         smooth = desingularize(fan)
-        return header + [
+        return entries + [
             ("dim", smooth.dim),
-            ("rays", [ray for ray in smooth.rays]),
-            ("cones", [cone for cone in smooth.max_cones]),
+            ("rays", list(smooth.rays)),
+            ("cones", list(smooth.max_cones)),
             ("smooth", is_smooth(smooth)),
             ("added-rays", len(smooth.rays) - len(fan.rays)),
         ], 0
     values = _load_values(args, fan, divisor)
     psi = SupportFunction(fan, values)
+    entries.append(("values", values))
     if args.subop == "cartier":
         certificate = cartier_certificate(psi)
-        entries = header + [("values", values), ("cartier", certificate.cartier)]
+        entries.append(("cartier", certificate.cartier))
         if certificate.cartier:
-            entries.append(("cone-duals", [dual for dual in certificate.cone_duals]))
-        else:
-            entries.extend([
-                ("failing-cone", certificate.failure_cone),
-                ("failing-cone-rays", fan.max_cones[certificate.failure_cone]),
-                ("rational-solution", certificate.failure_solution),
-            ])
-        return entries, 0
-    if args.subop == "h0":
-        polyhedron = sections_polyhedron(psi)
-        counted = count_lattice_points(polyhedron)
-        return header + [
-            ("values", values),
-            ("constraints", [normal + (rhs,) for normal, rhs in polyhedron.constraints]),
-            ("lattice-points", [point for point in counted.points] or "none"),
-            ("section-count", counted.count),
-            ("h0", counted.count),
-        ], 0
-    raise UsageError(f"unknown fan operation {args.subop!r}")
+            return entries + [("cone-duals", list(certificate.cone_duals))], 0
+        return entries + _failing_cone_rows(certificate), 0
+    return entries + _section_rows(psi), 0
 
 
 _DISPATCH = {

@@ -104,6 +104,13 @@ _IMPLICATIONS = (
 )
 
 
+def _shown(value) -> str:
+    """A field value as reports print it: flags as true and false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 class _Engine:
     def __init__(self, record: ModelRecord):
         self.record = record
@@ -122,13 +129,13 @@ class _Engine:
                 **{name: value},
                 provenance=self.record.provenance + ((name, note),),
             )
-            self.firings.append(RuleFiring(rule, inputs, f"{name} = {value}"))
+            self.firings.append(RuleFiring(rule, inputs, f"{name} = {_shown(value)}"))
             return True
         if current != value:
             self.contradiction = Contradiction(
                 rule,
                 inputs + (name,),
-                f"{name} = {current} conflicts with derived {name} = {value}",
+                f"{name} = {_shown(current)} conflicts with derived {name} = {_shown(value)}",
             )
             self.firings.append(RuleFiring(rule, inputs, "contradiction"))
         return False

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from quasilines import cubic
 from quasilines.cli import run
 from quasilines.cubic import (
     BASE_POINT,
     DegenerateError,
+    LineCountReport,
     NotOnHypersurfaceError,
     Poly,
     SingularPointError,
@@ -168,6 +170,34 @@ class TestCountLines:
         f = var(0, 5) * var(1, 5) ** 2 + var(2, 5) ** 3
         with pytest.raises(SingularPointError):
             count_lines_through_point(f, (1, 0, 0, 0, 0))
+
+    def test_restricted_form_constant_along_the_pencil(self):
+        # The conic or the cubic has degree 0 in the resultant variable, so
+        # no resultant is formed and the count is 0.
+        f, point = sample_cubic_instance(66, 1)
+        assert count_lines_through_point(f, point) == LineCountReport(
+            count=0, with_multiplicity=True, generic=False, resultant_degree=-1,
+            squarefree=False, no_loss_at_infinity=False, full_fibre_degrees=False,
+            resultant=(),
+        )
+
+    def test_leading_coefficients_decided_by_gcd(self, monkeypatch):
+        # Both leading coefficients are nonconstant, so a second gcd, after
+        # the squarefree test, decides that no root is lost at infinity.
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return gcd_univariate(a, b)
+
+        monkeypatch.setattr(cubic, "gcd_univariate", counting_gcd)
+        f, point = sample_cubic_instance(16, 2)
+        assert count_lines_through_point(f, point) == LineCountReport(
+            count=5, with_multiplicity=False, generic=False, resultant_degree=5,
+            squarefree=True, no_loss_at_infinity=True, full_fibre_degrees=False,
+            resultant=(2, -2, -3, -3, 4, 2),
+        )
+        assert len(calls) == 2
 
     def test_determinism(self):
         first = conic_count_certificate(3)

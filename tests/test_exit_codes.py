@@ -44,11 +44,14 @@ FILES = {
     "zerodim.txt": "dim: 0\nrays:\ncones:\n",
     "fracdim.txt": "dim: 3/2\nrays:\ncones:\n",
     "contradiction.txt": "e0: 2\ne: 1\n",
+    "flagcontradiction.txt": "g3: false\ne: 1\n",
     "mystery.txt": "mystery: 3\n",
     "badflag.txt": "rational: 1\n",
     "badint.txt": "e: yes\n",
     "zeroint.txt": "e: 0\n",
     "boolint.txt": "e: true\n",
+    # A zero ray, a repeated ray, and four cones that each break a cone rule.
+    "broken.txt": "dim: 2\nrays:\n- 1 0\n- 0 0\n- 1 0\ncones:\n- 0 1\n- 0 0\n- 0 1 2\n- 0 1\n",
     "sub": None,  # a directory
 }
 
@@ -171,6 +174,14 @@ GOLDEN = [
       "- e0 = 2\nfirings:\n- R2 [e0 e] -> contradiction\nderived-fields: none\n"
       "consistent: false\ncontradiction-rule: R2\n"
       "contradiction: R2: e0 = 2 exceeds e = 1\n")),
+    ("models-flag-contradiction", "models --file flagcontradiction.txt", 0, 2,
+     ("# quasilines models\nreport: models\nseed: 0\nrecord: flagcontradiction\n"
+      "input-fields:\n- e = 1\n- g3 = false\nfirings:\n- R2 [e] -> etilde = 1\n"
+      "- R2 [e] -> e0 = 1\n- R1 [e etilde] -> b = 1\n- R4 [e] -> rational = true\n"
+      "- R5 [e0] -> unirational = true\n- R6 [e] -> contradiction\n"
+      "derived-fields:\n- b = 1\n- e0 = 1\n- etilde = 1\n- rational = true\n"
+      "- unirational = true\nconsistent: false\ncontradiction-rule: R6\n"
+      "contradiction: R6: g3 = false conflicts with derived g3 = true\n")),
     ("models-unknown-field", "models --file mystery.txt", 0, 1,
      _usage("unknown record field 'mystery'")),
     ("models-flag-not-bool", "models --file badflag.txt", 0, 1,
@@ -212,6 +223,11 @@ GOLDEN = [
      _usage("fan dim must be a positive integer")),
     ("fan-fraction-dim", "fan validate fracdim.txt", 0, 1,
      _usage("fan dim must be a positive integer")),
+    ("validate-violations", "fan validate broken.txt --format structured", 0, 0,
+     ("report: fan-validate\nseed: 0\ndim: 2\nray-count: 3\ncone-count: 4\n"
+      "valid: false\nviolations:\n- ray 1 is zero\n- rays 0 and 2 coincide\n"
+      "- cone 0 is not simplicial\n- cone 1 repeats a ray index\n"
+      "- cone 2 has more generators than the dimension\n- cone 3 repeats cone 0\n")),
     ("fan-repeated-cone", "fan desingularize repeated.txt", 0, 1,
      _usage("invalid fan: cone 3 repeats cone 0")),
     ("cartier-no-values", "fan cartier p2.txt", 0, 1,

@@ -94,6 +94,13 @@ class TestValidateFan:
         assert not report.valid
         assert any("no maximal cone" in v for v in report.violations)
 
+    def test_empty_cone(self):
+        report = validate_fan(make_fan(2, [(1, 0)], [()]))
+        assert report.violations == ("cone 0 is empty", "ray 0 appears in no maximal cone")
+
+    def test_dimension_must_be_positive(self):
+        assert validate_fan(Fan(0, (), ())).violations == ("dimension must be positive",)
+
     def test_projective_plane_is_valid(self):
         fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
         assert validate_fan(fan).valid

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from quasilines.models import (
+    Contradiction,
     ModelRecord,
+    RuleFiring,
     catalog,
     cubic_conic_record,
     projective_space_record,
@@ -21,7 +23,7 @@ class TestPropagate:
         assert result.record.etilde == 1
         assert result.record.g3 is False
         assert any(f.rule == "R1" and "etilde = 1" in f.derived for f in result.firings)
-        assert any(f.rule == "R3" and "g3 = False" in f.derived for f in result.firings)
+        assert any(f.rule == "R3" and "g3 = false" in f.derived for f in result.firings)
 
     def test_equal_e_and_etilde(self):
         result = propagate(ModelRecord(name="c", e=6, etilde=6))
@@ -33,6 +35,19 @@ class TestPropagate:
         result = propagate(ModelRecord(name="bad", e0=2, e=1))
         assert not result.consistent
         assert result.contradiction.rule == "R2"
+
+    @pytest.mark.parametrize("fields,rule,inputs,detail", [
+        ({"etilde": 2, "b": 3, "e": 7}, "R1", ("e", "etilde", "b"),
+         "e = 7 but etilde * b = 6"),
+        ({"e": 7, "etilde": 2}, "R1", ("e", "etilde"),
+         "etilde = 2 does not divide e = 7 with integer quotient"),
+        ({"e0": 3, "etilde": 2}, "R2", ("e0", "etilde"), "e0 = 3 exceeds etilde = 2"),
+        ({"etilde": 3, "e": 2}, "R2", ("etilde", "e"), "etilde = 3 exceeds e = 2"),
+    ], ids=["r1-product", "r1-not-divisible", "r2-e0-over-etilde", "r2-etilde-over-e"])
+    def test_contradiction_witness(self, fields, rule, inputs, detail):
+        result = propagate(ModelRecord(name="bad", **fields))
+        assert result.contradiction == Contradiction(rule, inputs, detail)
+        assert result.firings[-1] == RuleFiring(rule, inputs, "contradiction")
 
     def test_r1_divisibility_contradiction(self):
         result = propagate(ModelRecord(name="bad", e=3, b=2))
