@@ -31,7 +31,6 @@ from .lattice import (
     dot,
     fm_projections,
     mat_vec,
-    transpose,
 )
 
 
@@ -111,13 +110,17 @@ def _integral_cone_solution(fan: Fan, cone: Cone, rhs: tuple[int, ...]):
     when m is integral and (None, m) with m rational otherwise.
 
     With the cone kernel (N, d), m = N^T rhs / d solves it: N R^T = d I
-    for the ray matrix R.  It is integral exactly when d divides every
+    for the ray matrix R.  N^T rhs is summed over the rows of N with a
+    nonzero right-hand side.  m is integral exactly when d divides every
     entry.  A full-dimensional cone has no other solution; on a smaller
     one m is the particular solution of the Smith-form solve,
     V[:, :k] diag(1 / s_i) U rhs.
     """
     inv, d = fan.kernel(cone)
-    scaled = mat_vec(transpose(inv), rhs)
+    scaled = [0] * len(inv[0])
+    for value, row in zip(rhs, inv):
+        if value:
+            scaled = [x + value * y for x, y in zip(scaled, row)]
     if all(x % d == 0 for x in scaled):
         return tuple(x // d for x in scaled), None
     return None, tuple(Fraction(x, d) for x in scaled)

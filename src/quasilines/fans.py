@@ -13,8 +13,11 @@ face, so a point lies in exactly the cones through its carrier face: the
 desingularizer keeps the cones through each ray and scores and subdivides
 each candidate ray on that star alone, and the toric-morphism test finds
 the cones holding each image ray once.  A ``Fan`` keeps each kernel from
-first use for its own lifetime.  A stellar subdivision derives each new
-cone's kernel from its parent's, by one fraction-free exchange step when
+first use for its own lifetime, and a facet index beside it: a
+full-dimensional cone that shares a facet with a stored one takes its
+kernel from that neighbour's by one fraction-free exchange step, so a fan
+whose cones are read facet to facet inverts one matrix.  A stellar subdivision
+derives each new cone's kernel from its parent's, by the same step when
 the cone is full-dimensional, so the fans that ``stellar_subdivide`` and
 ``desingularize`` return hold a kernel for every maximal cone and compute
 none afresh.  The module also builds the fans of projective space
@@ -61,10 +64,15 @@ class NotMaximalError(UsageError):
 # Largest number of stellar subdivisions one desingularization may run.
 DESINGULARIZATION_STEP_BUDGET = 10_000
 
+# Largest multiplicity d of a cone whose box desingularization may list: the
+# box holds d - 1 nonzero lattice points, each scored in turn.
+BOX_POINT_BUDGET = 10_000
+
 
 class DesingularizationBudgetError(QuasilinesError):
     """Desingularization needed more than ``DESINGULARIZATION_STEP_BUDGET``
-    stellar subdivisions."""
+    stellar subdivisions, or a target cone's box more than
+    ``BOX_POINT_BUDGET`` points."""
 
 
 # Largest number of cone pairs one pairwise fan validation may test.
@@ -81,20 +89,62 @@ class Fan:
     """Primitive ray generators plus maximal cones as sorted index tuples.
 
     The fan stores each cone kernel it computes, keyed by the cone, for its
-    own lifetime; the store is not built from, shown or compared.
+    own lifetime.  Its facet index maps each facet of a full-dimensional
+    cone whose kernel ``kernel`` stored to (cone, pos), pos the position of
+    the ray opposite the facet, until a second such cone through the facet
+    is stored: a facet of a fan lies in at most two cones, so no third one
+    can need it, and the index keeps only the open facets.  Neither is
+    built from, shown or compared.
     """
 
     dim: int
     rays: tuple[Vec, ...]
     max_cones: tuple[Cone, ...]
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _facets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernel(self, cone: Cone) -> tuple[Matrix, int]:
         """Integer kernel (N, d) of a cone of any dimension (see
-        ``_integer_kernel``), computed once per fan."""
-        if cone not in self._kernels:
-            self._kernels[cone] = _integer_kernel([self.rays[i] for i in cone], self.dim)
-        return self._kernels[cone]
+        ``_integer_kernel``), computed once per fan.
+
+        A full-dimensional cone that shares a facet with a stored one takes
+        its kernel from that neighbour's by one exchange step
+        (``_exchange_kernel``), which costs O(dim^2) against O(dim^3) for an
+        inversion.  Its new ray w has coordinate c = (N w)[pos] opposite the
+        facet, and c = 0 exactly when w lies in the facet's span: the rays
+        are then dependent, and ``_integer_kernel`` raises as it would
+        without the neighbour.  Any other cone takes ``_integer_kernel``.
+        """
+        kernel = self._kernels.get(cone)
+        if kernel is None:
+            full = len(cone) == self.dim
+            kernel = (full and self._neighbour_kernel(cone)) or _integer_kernel(
+                [self.rays[i] for i in cone], self.dim
+            )
+            self._kernels[cone] = kernel
+            if full:
+                for pos in range(len(cone)):
+                    facet = cone[:pos] + cone[pos + 1:]
+                    if self._facets.pop(facet, None) is None:
+                        self._facets[facet] = (cone, pos)
+        return kernel
+
+    def _neighbour_kernel(self, cone: Cone) -> tuple[Matrix, int] | None:
+        """The kernel of ``cone`` by one exchange step from the first stored
+        cone found across one of its facets, or None."""
+        for at, w_index in enumerate(cone):
+            found = self._facets.get(cone[:at] + cone[at + 1:])
+            if found is not None:
+                neighbour, pos = found
+                w = self.rays[w_index]
+                if len(w) != self.dim:
+                    return None
+                kernel = self._kernels[neighbour]
+                coords = mat_vec(kernel[0], w)
+                if not coords[pos]:
+                    return None
+                return _exchange_kernel(kernel, neighbour, coords, pos, w_index, cone)
+        return None
 
 
 def _integer_kernel(rays, dim: int) -> tuple[Matrix, int]:
@@ -354,26 +404,44 @@ def _star_children(rays, cone: Cone, coords, kernel, w_index: int):
     opposite each ray of positive coordinate c = coords[pos] is yielded.
     Its multiplicity is c in every dimension: w = sum c_j ray_j / d, so
     replacing ray pos by w scales the index d by c / d (Cramer's rule).  A
-    full-dimensional child takes its kernel by one fraction-free exchange
-    step, as ``rational_inverse`` takes it (Bareiss 1968): row pos stays,
-    row i becomes (c N_i - c_i N_pos) / d, every entry is a minor so the
-    division is exact, and the rows follow the child's ray order.  A
-    lower-dimensional child has many left inverses, so it takes its own
-    from ``_integer_kernel``, as an equal fan would.
+    full-dimensional child takes its kernel by one exchange step
+    (``_exchange_kernel``).  A lower-dimensional child has many left
+    inverses, so it takes its own from ``_integer_kernel``, as an equal fan
+    would.
     """
-    inv, d = kernel
     dim = len(rays[w_index])
     for pos, c in enumerate(coords):
         if c > 0:
             child = tuple(sorted(set(cone) - {cone[pos]} | {w_index}))
             if len(cone) < dim:
                 yield child, _integer_kernel([rays[i] for i in child], dim)
-                continue
-            rows = {w_index: inv[pos]}
-            for i, row, ci in zip(cone, inv, coords):
-                if i != cone[pos]:
-                    rows[i] = tuple([(c * x - ci * y) // d for x, y in zip(row, inv[pos])])
-            yield child, (tuple(rows[i] for i in child), c)
+            else:
+                yield child, _exchange_kernel(kernel, cone, coords, pos, w_index, child)
+
+
+def _exchange_kernel(kernel, cone: Cone, coords, pos: int, w_index: int, child: Cone):
+    """Kernel of the full-dimensional ``child``: ``cone`` with the ray at
+    ``pos`` replaced by w = ray ``w_index``.
+
+    ``kernel`` = (N, d) is the kernel of ``cone`` and ``coords`` = N w, with
+    c = coords[pos] nonzero.  This is one fraction-free exchange step, as
+    ``rational_inverse`` takes it (Bareiss 1968).  Row pos of N vanishes on
+    the facet and is c on w, so it becomes w's row; row i becomes
+    (c N_i - c_i N_pos) / d, which vanishes on w and is c on ray i.  Every
+    entry is a minor, so each division is exact.  The child's multiplicity
+    is d' = |c|; when c < 0 every row is negated, which the step does by
+    negating N_pos and c, so that N' R'^T = d' I.  The rows follow the
+    order of ``child``.
+    """
+    inv, d = kernel
+    c, pivot = coords[pos], inv[pos]
+    if c < 0:
+        c, pivot = -c, tuple([-x for x in pivot])
+    rows = {w_index: pivot}
+    for i, row, ci in zip(cone, inv, coords):
+        if i != cone[pos]:
+            rows[i] = tuple([(c * x - ci * y) // d for x, y in zip(row, pivot)])
+    return tuple(rows[i] for i in child), c
 
 
 def _box_lattice_points(rays: tuple[Vec, ...], kernel) -> set[Vec]:
@@ -429,8 +497,10 @@ def desingularize(fan: Fan) -> Fan:
     creates, ties again lexicographic.  Each child cone has strictly
     smaller multiplicity than its parent, so the procedure terminates; the
     support and the original rays are preserved.  More than
-    ``DESINGULARIZATION_STEP_BUDGET`` subdivisions raise
-    ``DesingularizationBudgetError``.  A smooth input is returned as is.
+    ``DESINGULARIZATION_STEP_BUDGET`` subdivisions, or a target of
+    multiplicity over ``BOX_POINT_BUDGET``, raise
+    ``DesingularizationBudgetError``; the box is listed only after that
+    check.  A smooth input is returned as is.
 
     ``fan`` must be valid (see ``validate_fan``): its cones meet face to
     face, so a candidate w lies in exactly the cones that contain its
@@ -480,6 +550,11 @@ def desingularize(fan: Fan) -> Fan:
             star = {cone: mat_vec(kernels[cone][0], w) for cone in cones}
             return max(map(max, star.values())), w, star
 
+        if kernels[target][1] > BOX_POINT_BUDGET:
+            raise DesingularizationBudgetError(
+                f"desingularization target {target} has multiplicity "
+                f"{kernels[target][1]}, over the budget BOX_POINT_BUDGET = {BOX_POINT_BUDGET}"
+            )
         box = _box_lattice_points(tuple(rays[i] for i in target), kernels[target])
         candidates = sorted({primitive(p) for p in box})
         _, w, star = min(map(scored, candidates))
@@ -499,20 +574,24 @@ def is_toric_morphism(hom: LatticeHom, src: Fan, dst: Fan) -> bool:
     """True when the hom maps every cone of ``src`` into some cone of ``dst``.
 
     A cone maps into a cone exactly when the images of its rays lie there.
-    So the set of ``dst`` cones that contain each distinct image of a ray
-    is computed once, and a source cone maps into the fan exactly when the
-    sets of its rays' images share a cone.  Neither fan needs to be valid,
-    but every ``dst`` cone is tested, so one with dependent rays, of any
-    dimension, raises ``InfiniteIndexError`` whatever the cone order: it
-    gives a point no unique coordinates whose signs could decide membership.
+    So each source ray is mapped once, the set of ``dst`` cones that contain
+    each distinct image is computed once, and a source cone maps into the
+    fan exactly when the sets of its rays' images share a cone.  Neither fan
+    needs to be valid, but every ``dst`` cone is tested, so one with
+    dependent rays, of any dimension, raises ``InfiniteIndexError`` whatever
+    the cone order: it gives a point no unique coordinates whose signs could
+    decide membership.
     """
     if len(hom) != dst.dim or any(len(row) != src.dim for row in hom):
         raise ValueError("lattice hom dimensions do not match the fans")
+    images: dict[int, Vec] = {}
     holders: dict[Vec, frozenset[Cone]] = {}
     for cone in src.max_cones:
-        images = [mat_vec(hom, src.rays[i]) for i in cone]
+        for i in cone:
+            if i not in images:
+                images[i] = mat_vec(hom, src.rays[i])
         common = frozenset(dst.max_cones)
-        for img in images:
+        for img in (images[i] for i in cone):
             if img not in holders:
                 holders[img] = frozenset(
                     candidate for candidate in dst.max_cones

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import QuasilinesError
 
@@ -63,7 +64,7 @@ def mat_vec(a: Matrix, v: Vec) -> Vec:
     rows, cols = _dims(a)
     if len(v) != cols:
         raise ValueError(f"cannot apply {rows}x{cols} matrix to vector of length {len(v)}")
-    return tuple(sum(a[i][k] * v[k] for k in range(cols)) for i in range(rows))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def dot(u, v) -> int | Fraction:

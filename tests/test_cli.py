@@ -1,5 +1,7 @@
 """End-to-end tests for the command line front end and its file formats."""
 
+import time
+
 import pytest
 
 from quasilines import cubic, divisors, fans, lattice
@@ -450,6 +452,34 @@ class TestDesingularizationBudget:
         assert doc["error"] == "DesingularizationBudgetError"
         assert "DESINGULARIZATION_STEP_BUDGET = 1\n" in text
 
+    def test_large_box_exits_2_before_listing_it(self, tmp_path):
+        # The cone's box holds 99,999 points; listing and scoring them ran
+        # for seconds before the step budget could stop it.
+        fan_file = tmp_path / "wide.txt"
+        fan_file.write_text("dim: 2\nrays:\n- 1 0\n- 1 100000\ncones:\n- 0 1\n")
+        start = time.perf_counter()
+        code, doc, text = structured(["fan", "desingularize", str(fan_file)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert doc["error"] == "DesingularizationBudgetError"
+        assert text.endswith(
+            "detail: desingularization target (0, 1) has multiplicity 100000, "
+            "over the budget BOX_POINT_BUDGET = 10000\n"
+        )
+
+    def test_box_budget_bounds_the_multiplicity(self, tmp_path, monkeypatch):
+        # P(1, 1, 2) has one cone of multiplicity 2.
+        fan_file = tmp_path / "weighted.txt"
+        fan_file.write_text(
+            "dim: 2\nrays:\n- 1 0\n- 0 1\n- -1 -2\ncones:\n- 0 1\n- 1 2\n- 0 2\n"
+        )
+        monkeypatch.setattr(fans, "BOX_POINT_BUDGET", 2)
+        assert structured(["fan", "desingularize", str(fan_file)])[0] == 0
+        monkeypatch.setattr(fans, "BOX_POINT_BUDGET", 1)
+        code, doc, text = structured(["fan", "desingularize", str(fan_file)])
+        assert (code, doc["error"]) == (2, "DesingularizationBudgetError")
+        assert text.endswith("BOX_POINT_BUDGET = 1\n")
+
 
 class TestFanPairBudget:
     @pytest.mark.parametrize("fan_doc,budget,valid", [
@@ -530,12 +560,33 @@ class TestKernelStore:
     def test_one_inverse_per_cone(self, refinement_file, inverse_calls, subop):
         # Validation, desingularization, the smoothness check and the
         # Cartier certificate all read one kernel per cone from the fan.
+        # Validation reads the cones in file order, and all but 69 of them
+        # find a stored facet neighbour and take its kernel by one exchange.
         path, ray_count = refinement_file
         extra = ["--values", ",".join(["0"] * ray_count)] if subop == "cartier" else []
         code, doc, _ = structured(["fan", subop, str(path)] + extra)
         assert code == 0
         assert doc.get("smooth", doc.get("cartier")) is True
-        assert len(inverse_calls) == 2700
+        assert len(inverse_calls) == 69
+
+    def test_appendix_inverts_one_cone_per_fan(self, inverse_calls):
+        # 13 cones in each of the two fans at n = 12, every two of them
+        # facet neighbours: one inversion per fan, 12 exchanges each.
+        code, _, _ = structured(["appendix", "--n", "12"])
+        assert code == 0
+        assert len(inverse_calls) == 2
+
+    def test_toric_morphism_maps_each_source_ray_once(self, monkeypatch):
+        sub, big, inclusion = fans.cyclic_quotient_fans(6)
+        calls = []
+
+        def counting(a, v):
+            calls.append((a, v))
+            return lattice.mat_vec(a, v)
+
+        monkeypatch.setattr(fans, "mat_vec", counting)
+        assert fans.is_toric_morphism(inclusion, sub, big)
+        assert sorted(v for a, v in calls if a is inclusion) == sorted(sub.rays)
 
 
 class TestMainAndOutput:

@@ -22,6 +22,7 @@ from quasilines.divisors import SupportFunction, _integral_cone_solution, cartie
 from quasilines.fans import (
     Fan,
     _box_lattice_points,
+    _exchange_kernel,
     cone_contains,
     cone_coordinates,
     cone_multiplicity,
@@ -274,18 +275,19 @@ class TestKernelStore:
         for fan in (first, first, second):
             for cone in fan.max_cones:
                 assert fan.kernel(cone)[1] == 4
-        # The store belongs to the fan: an equal fan computes its own.
-        assert len(inverse_calls) == 2 * len(first.max_cones)
+        # Every two cones share a facet, so each fan inverts its first cone
+        # and exchanges into the others.  The store belongs to the fan: an
+        # equal fan computes its own.
+        assert len(inverse_calls) == 2
 
     def test_desingularize_computes_each_kernel_once(self, inverse_calls):
-        # Only the input cones are inverted, in their order: every child
-        # inherits its kernel, so the result's smoothness costs nothing.
+        # Only the first input cone is inverted: the other input cones are
+        # its facet neighbours, and every child inherits its kernel, so the
+        # result's smoothness costs nothing.
         quotient = cyclic_quotient_fans(5)[1]
         smooth = fans.desingularize(quotient)
         assert len(smooth.max_cones) == 180
-        assert inverse_calls == [
-            transpose([quotient.rays[i] for i in cone]) for cone in quotient.max_cones
-        ]
+        assert inverse_calls == [transpose([quotient.rays[i] for i in quotient.max_cones[0]])]
         inverse_calls.clear()
         assert fans.is_smooth(smooth)
         assert inverse_calls == []
@@ -304,6 +306,118 @@ class TestKernelStore:
         inverse_calls.clear()
         assert fans.is_smooth(smooth) and fans.is_smooth(smooth)
         assert inverse_calls == []
+
+
+@st.composite
+def exchanges(draw):
+    """A nonsingular ray matrix R (dims 1-6) as cone 0..dim-1, a position,
+    and a replacement ray w = ray dim.  In half the draws w is a nonzero
+    combination of the facet opposite pos, so c = (N w)[pos] = 0; in the
+    others w is random and negated half the time, so c takes either sign."""
+    dim = draw(st.integers(1, 6))
+    rays = draw(square_matrices(dim))
+    assume(determinant(rays) != 0)
+    pos = draw(st.integers(0, dim - 1))
+    if draw(st.booleans()):
+        coeffs = [draw(st.integers(-3, 3)) if i != pos else 0 for i in range(dim)]
+        w = tuple(sum(a * ray[j] for a, ray in zip(coeffs, rays)) for j in range(dim))
+        assume(any(w))
+    else:
+        w = draw(st.tuples(*[st.integers(-6, 6)] * dim))
+        if draw(st.booleans()):
+            w = tuple(-x for x in w)
+    return tuple(rays), pos, w
+
+
+class TestExchangeStep:
+    """A full-dimensional kernel is unique, so the one exchange step of
+    ``_exchange_kernel`` must give ``rational_inverse`` of the new rays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exchanges(), st.randoms(use_true_random=False))
+    def test_step_equals_rational_inverse(self, exchange, rnd):
+        rays, pos, w = exchange
+        dim = len(rays)
+        cone = tuple(range(dim))
+        kernel = rational_inverse(transpose(rays))
+        coords = lattice.mat_vec(kernel[0], w)
+        assume(coords[pos] != 0)
+        # Any row order: the rows follow the child's tuple.
+        child = [i for i in cone if i != pos] + [dim]
+        rnd.shuffle(child)
+        child = tuple(child)
+        pool = rays + (w,)
+        expected = rational_inverse(transpose([pool[i] for i in child]))
+        assert _exchange_kernel(kernel, cone, coords, pos, dim, child) == expected
+        assert expected[1] == abs(coords[pos])
+
+    @settings(max_examples=300, deadline=None)
+    @given(exchanges())
+    def test_fan_kernel_exchanges_or_raises(self, exchange):
+        rays, pos, w = exchange
+        dim = len(rays)
+        cone = tuple(range(dim))
+        child = tuple(sorted(set(cone) - {pos} | {dim}))
+        fan = Fan(dim, rays + (w,), (cone, child))
+        fan.kernel(cone)
+        assert fan._facets[child[:-1]] == (cone, pos)
+        child_rays = transpose([fan.rays[i] for i in child])
+        if lattice.mat_vec(fan.kernel(cone)[0], w)[pos] == 0:
+            # As Bareiss does: w lies in the facet's span.
+            with pytest.raises(InfiniteIndexError, match="matrix is singular"):
+                rational_inverse(child_rays)
+            with pytest.raises(InfiniteIndexError, match="matrix is singular"):
+                fan.kernel(child)
+            assert child not in fan._kernels
+        else:
+            assert fan.kernel(child) == rational_inverse(child_rays)
+
+    @pytest.fixture(scope="class")
+    def fans_with_oracles(self):
+        found = [cyclic_quotient_fans(n)[k] for n in range(2, 13) for k in (0, 1)]
+        found += [fans.desingularize(cyclic_quotient_fans(n)[1]) for n in range(2, 6)]
+        return [
+            (fan.dim, fan.rays, fan.max_cones, {
+                cone: rational_inverse(transpose([fan.rays[i] for i in cone]))
+                for cone in fan.max_cones
+            })
+            for fan in found
+        ]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_every_order_gives_the_oracle(self, fans_with_oracles, rnd):
+        # The quotient fans n = 2..12 and the refinements n = 2..5, each
+        # read afresh with an empty store, in a random cone order.
+        for dim, rays, cones, oracle in fans_with_oracles:
+            fan = Fan(dim, rays, cones)
+            order = list(cones)
+            rnd.shuffle(order)
+            for cone in order:
+                assert fan.kernel(cone) == oracle[cone]
+
+    def test_one_inversion_per_quotient_fan(self, inverse_calls):
+        for n in range(2, 13):
+            for fan in cyclic_quotient_fans(n)[:2]:
+                for cone in reversed(fan.max_cones):
+                    fan.kernel(cone)
+        assert len(inverse_calls) == 2 * 11
+
+    def test_other_cones_take_their_own_kernel(self, inverse_calls, smith_calls):
+        # P^2 with cone 0 1 stored: a repeated index and dependent rays
+        # find a neighbour with c = 0 and raise, and a ray takes the Smith
+        # form, as without the neighbour.
+        fan = Fan(2, ((1, 0), (0, 1), (-1, -1), (2, 0)), ((0, 1), (1, 2), (0, 2)))
+        fan.kernel((0, 1))
+        for cone in [(1, 1), (0, 3)]:
+            with pytest.raises(InfiniteIndexError, match="matrix is singular"):
+                fan.kernel(cone)
+        assert fan.kernel((0,)) == (((1, 0),), 1)
+        assert len(inverse_calls) == 3 and len(smith_calls) == 1
+        # Cones 1 2 and then 0 2 each exchange from a stored neighbour.
+        assert fan.kernel((1, 2)) == rational_inverse(transpose([(0, 1), (-1, -1)]))
+        assert fan.kernel((0, 2)) == rational_inverse(transpose([(1, 0), (-1, -1)]))
+        assert len(inverse_calls) == 3
 
 
 def test_deleted_names_stay_gone():

@@ -51,6 +51,8 @@ FILES = {
     "zeroint.txt": "e: 0\n",
     "boolint.txt": "e: true\n",
     # A zero ray, a repeated ray, and four cones that each break a cone rule.
+    # One cone of multiplicity 100000, over BOX_POINT_BUDGET.
+    "widebox.txt": "dim: 2\nrays:\n- 1 0\n- 1 100000\ncones:\n- 0 1\n",
     "broken.txt": "dim: 2\nrays:\n- 1 0\n- 0 0\n- 1 0\ncones:\n- 0 1\n- 0 0\n- 0 1 2\n- 0 1\n",
     "sub": None,  # a directory
 }
@@ -228,6 +230,11 @@ GOLDEN = [
       "valid: false\nviolations:\n- ray 1 is zero\n- rays 0 and 2 coincide\n"
       "- cone 0 is not simplicial\n- cone 1 repeats a ray index\n"
       "- cone 2 has more generators than the dimension\n- cone 3 repeats cone 0\n")),
+    ("desingularize-box-budget", "fan desingularize widebox.txt", 0, 2,
+     ("# quasilines fan\nreport: error\nseed: 0\n"
+      "error: DesingularizationBudgetError\n"
+      "detail: desingularization target (0, 1) has multiplicity 100000, "
+      "over the budget BOX_POINT_BUDGET = 10000\n")),
     ("fan-repeated-cone", "fan desingularize repeated.txt", 0, 1,
      _usage("invalid fan: cone 3 repeats cone 0")),
     ("cartier-no-values", "fan cartier p2.txt", 0, 1,

@@ -62,6 +62,27 @@ def random_matrix(rng, rows, cols, bound=9):
     return tuple(tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows))
 
 
+class TestMatVec:
+    def test_product(self):
+        assert mat_vec(((1, 2, 3), (-4, 0, 5)), (1, -1, 2)) == (5, 6)
+        assert mat_vec(((1, 2),), (Fraction(1, 2), 3)) == (Fraction(13, 2),)
+
+    @pytest.mark.parametrize("a,v,message", [
+        (((1, 2), (3,)), (1, 1), "ragged matrix"),
+        (((1,), (2, 3)), (1,), "ragged matrix"),
+        (((1, 2), (3, 4)), (1, 2, 3), "cannot apply 2x2 matrix to vector of length 3"),
+        (((1, 2, 3),), (1,), "cannot apply 1x3 matrix to vector of length 1"),
+        ((), (), "matrix must have at least one row and one column"),
+        (((),), (), "matrix must have at least one row and one column"),
+    ])
+    def test_shape_errors(self, a, v, message):
+        # The row product would silently truncate to the shorter of a row
+        # and the vector; the checks in front of it must not.
+        with pytest.raises(ValueError) as raised:
+            mat_vec(a, v)
+        assert str(raised.value) == message
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         eye = identity_matrix(3)
