@@ -28,6 +28,14 @@ class InapplicableReductionError(QuasilinesError, ValueError):
     """A numeric reduction hypothesis fails; the message names it."""
 
 
+# Largest number of codimension-2 blow-ups one quasi-line plan may list.
+PLAN_STEP_BUDGET = 10_000
+
+
+class PlanBudgetError(QuasilinesError):
+    """A quasi-line plan needs more than ``PLAN_STEP_BUDGET`` blow-ups."""
+
+
 @dataclass(frozen=True)
 class SplittingType:
     exponents: tuple[int, ...]
@@ -144,10 +152,17 @@ def quasiline_plan(t: SplittingType) -> BlowupPlan:
 
     The plan has sum(a_i - 1) steps and, unless the input already is a
     quasi-line type, the exceptional divisor of the last step meets the
-    curve once, so the result is flagged as an almost-line.
+    curve once, so the result is flagged as an almost-line.  More than
+    ``PLAN_STEP_BUDGET`` steps raise ``PlanBudgetError`` before the first.
     """
     if any(a < 1 for a in t.exponents):
         raise NotAmpleError("every exponent must be at least 1")
+    steps = sum(a - 1 for a in t.exponents)
+    if steps > PLAN_STEP_BUDGET:
+        raise PlanBudgetError(
+            f"the quasi-line plan needs {steps} codimension-2 blow-ups, "
+            f"over the budget PLAN_STEP_BUDGET = {PLAN_STEP_BUDGET}"
+        )
     trajectory = [t]
     while any(a > 1 for a in trajectory[-1].exponents):
         trajectory.append(codim2_blowup(trajectory[-1]))

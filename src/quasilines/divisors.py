@@ -49,9 +49,16 @@ class UnboundedPolyhedronError(QuasilinesError):
 # Largest number of lattice points one count may enumerate.
 LATTICE_POINT_BUDGET = 100_000
 
+# Largest number of coordinate values one count may scan: the sizes of all
+# the ranges it walks, at every level, so a count that finds few points is
+# bounded too.  Ten values per point of LATTICE_POINT_BUDGET; P^2 with
+# O(400) scans 81,002.
+LATTICE_SCAN_BUDGET = 1_000_000
+
 
 class LatticePointBudgetError(QuasilinesError):
-    """A lattice-point count has more than ``LATTICE_POINT_BUDGET`` points."""
+    """A lattice-point count has more than ``LATTICE_POINT_BUDGET`` points,
+    or scans more than ``LATTICE_SCAN_BUDGET`` values."""
 
 
 @dataclass(frozen=True)
@@ -198,13 +205,16 @@ def count_lattice_points(polyhedron: SectionsPolyhedron) -> LatticePointCount:
     return LatticePointCount(len(points), tuple(points))
 
 
-def _enumerate_points(bounds, prefix: Vec, points: list[Vec]) -> None:
-    """Append the lattice points extending ``prefix``, in lexicographic order.
+def _enumerate_points(bounds, prefix: Vec, points: list[Vec], scanned: int = 0) -> int:
+    """Append the lattice points extending ``prefix``, in lexicographic
+    order, and return the number of values scanned, ``scanned`` before.
 
     A level row c * u_k + <coeffs, prefix> >= rhs bounds u_k from below
-    when c > 0 and from above when c < 0; one integer division each.
-    Raises ``LatticePointBudgetError`` before the points pass
-    ``LATTICE_POINT_BUDGET``.
+    when c > 0 and from above when c < 0; one integer division each.  The
+    size of each range is added to the scanned count before the range is
+    walked.  Raises ``LatticePointBudgetError`` before the points pass
+    ``LATTICE_POINT_BUDGET`` or the scanned values pass
+    ``LATTICE_SCAN_BUDGET``.
     """
     lower, upper = bounds[len(prefix)]
     lo = max(
@@ -222,11 +232,18 @@ def _enumerate_points(bounds, prefix: Vec, points: list[Vec]) -> None:
             f"lattice-point enumeration reached {reached} points, "
             f"over the budget LATTICE_POINT_BUDGET = {LATTICE_POINT_BUDGET}"
         )
+    scanned += max(hi - lo + 1, 0)
+    if scanned > LATTICE_SCAN_BUDGET:
+        raise LatticePointBudgetError(
+            f"lattice-point enumeration scanned {scanned} values, "
+            f"over the budget LATTICE_SCAN_BUDGET = {LATTICE_SCAN_BUDGET}"
+        )
     for value in range(lo, hi + 1):
         if last:
             points.append(prefix + (value,))
         else:
-            _enumerate_points(bounds, prefix + (value,), points)
+            scanned = _enumerate_points(bounds, prefix + (value,), points, scanned)
+    return scanned
 
 
 def h0(psi: SupportFunction) -> int:
@@ -309,7 +326,8 @@ def sampled_extension_check(
     extended polyhedron is the base one cut by the new rays' half-spaces,
     so its lattice points are the base points that satisfy the new rows, in
     the same lexicographic order; the base count has bounded the polyhedron
-    and passed ``LATTICE_POINT_BUDGET``, so the cut count can raise neither.
+    and passed ``LATTICE_POINT_BUDGET`` and ``LATTICE_SCAN_BUDGET``, so the
+    cut count can raise neither.
     The ray prefix thus makes ``containment_failures`` and
     ``count_violations`` 0 by construction.
     """

@@ -13,16 +13,18 @@ face, so a point lies in exactly the cones through its carrier face: the
 desingularizer keeps the cones through each ray and scores and subdivides
 each candidate ray on that star alone, and the toric-morphism test finds
 the cones holding each image ray once.  A ``Fan`` keeps each kernel from
-first use for its own lifetime, and a facet index beside it: a
+first use for its own lifetime, and one facet table, built once, that maps
+each facet of a full-dimensional maximal cone to the cones on its sides: a
 full-dimensional cone that shares a facet with a stored one takes its
 kernel from that neighbour's by one fraction-free exchange step, so a fan
-whose cones are read facet to facet inverts one matrix.  A stellar subdivision
-derives each new cone's kernel from its parent's, by the same step when
-the cone is full-dimensional, so the fans that ``stellar_subdivide`` and
-``desingularize`` return hold a kernel for every maximal cone and compute
-none afresh.  The module also builds the fans of projective space
-and of its cyclic quotient of order n+1, together with the lattice
-inclusion realising the quotient map.
+whose cones are read facet to facet inverts one matrix, and the
+completeness certificate reads its facet pairs off the same table.  A
+stellar subdivision derives each new cone's kernel from its parent's, by
+the same step when the cone is full-dimensional, so the fans that
+``stellar_subdivide`` and ``desingularize`` return hold a kernel for every
+maximal cone and compute none afresh.  The module also builds the fans of
+projective space and of its cyclic quotient of order n+1, together with
+the lattice inclusion realising the quotient map.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 
 from .errors import QuasilinesError, UsageError
 from .lattice import (
@@ -89,62 +92,80 @@ class Fan:
     """Primitive ray generators plus maximal cones as sorted index tuples.
 
     The fan stores each cone kernel it computes, keyed by the cone, for its
-    own lifetime.  Its facet index maps each facet of a full-dimensional
-    cone whose kernel ``kernel`` stored to (cone, pos), pos the position of
-    the ray opposite the facet, until a second such cone through the facet
-    is stored: a facet of a fan lies in at most two cones, so no third one
-    can need it, and the index keeps only the open facets.  Neither is
-    built from, shown or compared.
+    own lifetime.  Its facet table (``_facet_table``) maps each facet of a
+    full-dimensional maximal cone to its sides (cone, pos), pos the position
+    of the ray opposite the facet.  It is built once, at the first kernel
+    miss on a full-dimensional cone or the first completeness certificate,
+    and both read it; a fan that ``stellar_subdivide`` or ``desingularize``
+    returns holds every kernel, so it builds the table only if validated.
+    Neither store nor table is built from, shown or compared.
     """
 
     dim: int
     rays: tuple[Vec, ...]
     max_cones: tuple[Cone, ...]
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _facets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _facets: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def kernel(self, cone: Cone) -> tuple[Matrix, int]:
         """Integer kernel (N, d) of a cone of any dimension (see
         ``_integer_kernel``), computed once per fan.
 
-        A full-dimensional cone that shares a facet with a stored one takes
-        its kernel from that neighbour's by one exchange step
-        (``_exchange_kernel``), which costs O(dim^2) against O(dim^3) for an
-        inversion.  Its new ray w has coordinate c = (N w)[pos] opposite the
-        facet, and c = 0 exactly when w lies in the facet's span: the rays
-        are then dependent, and ``_integer_kernel`` raises as it would
-        without the neighbour.  Any other cone takes ``_integer_kernel``.
+        A full-dimensional cone that shares a facet with a maximal cone
+        whose kernel is stored takes its kernel from that neighbour's by one
+        exchange step (``_exchange_kernel``), which costs O(dim^2) against
+        O(dim^3) for an inversion.  Its new ray w has coordinate
+        c = (N w)[pos] opposite the facet, and c = 0 exactly when w lies in
+        the facet's span: the rays are then dependent, and
+        ``_integer_kernel`` raises as it would without the neighbour.  Any
+        other cone takes ``_integer_kernel``.
         """
         kernel = self._kernels.get(cone)
         if kernel is None:
-            full = len(cone) == self.dim
-            kernel = (full and self._neighbour_kernel(cone)) or _integer_kernel(
+            kernel = (len(cone) == self.dim and self._neighbour_kernel(cone)) or _integer_kernel(
                 [self.rays[i] for i in cone], self.dim
             )
             self._kernels[cone] = kernel
-            if full:
-                for pos in range(len(cone)):
-                    facet = cone[:pos] + cone[pos + 1:]
-                    if self._facets.pop(facet, None) is None:
-                        self._facets[facet] = (cone, pos)
         return kernel
 
     def _neighbour_kernel(self, cone: Cone) -> tuple[Matrix, int] | None:
-        """The kernel of ``cone`` by one exchange step from the first stored
-        cone found across one of its facets, or None."""
-        for at, w_index in enumerate(cone):
-            found = self._facets.get(cone[:at] + cone[at + 1:])
-            if found is not None:
-                neighbour, pos = found
-                w = self.rays[w_index]
-                if len(w) != self.dim:
-                    return None
-                kernel = self._kernels[neighbour]
-                coords = mat_vec(kernel[0], w)
-                if not coords[pos]:
-                    return None
-                return _exchange_kernel(kernel, neighbour, coords, pos, w_index, cone)
+        """The kernel of ``cone`` by one exchange step from the first side,
+        across one of its facets, whose kernel is stored, or None.
+
+        The facets are tried from the one without the last ray back.  Its
+        other side swaps the largest ray of a sorted cone for another one;
+        when that ray is smaller, as it mostly is, the other side comes
+        earlier in lexicographic order.  So a fan whose cones are read in
+        that order, as the quotient fans are, mostly finds a stored side at
+        the first try.
+        """
+        facets = _facet_table(self)
+        for at, w_index in reversed([*enumerate(cone)]):
+            for neighbour, pos in facets.get(cone[:at] + cone[at + 1:], ()):
+                kernel = self._kernels.get(neighbour)
+                if kernel is not None:
+                    w = self.rays[w_index]
+                    coords = mat_vec(kernel[0], w) if len(w) == self.dim else None
+                    if coords is None or not coords[pos]:
+                        return None
+                    return _exchange_kernel(kernel, neighbour, coords, pos, w_index, cone)
         return None
+
+
+def _facet_table(fan: Fan) -> dict[Cone, list[tuple[Cone, int]]]:
+    """The facet table of ``fan``, built on first use and then kept.
+
+    It maps each facet of a full-dimensional maximal cone to its sides
+    (cone, pos) in cone order, pos the position of the ray of the cone
+    opposite the facet.
+    """
+    if fan._facets is None:
+        facets: dict[Cone, list[tuple[Cone, int]]] = {}
+        for cone, pos in itertools.product(fan.max_cones, range(fan.dim)):
+            if len(cone) == fan.dim:
+                facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((cone, pos))
+        object.__setattr__(fan, "_facets", facets)
+    return fan._facets
 
 
 def _integer_kernel(rays, dim: int) -> tuple[Matrix, int]:
@@ -263,9 +284,10 @@ def _certifies_complete(fan: Fan) -> bool:
     The rays of each full-dimensional cone must be independent, as
     ``validate_fan`` checks first.  The certificate accepts when there is at
     least one cone, every cone is full-dimensional, every facet (a cone
-    minus the ray at position pos) lies in exactly two cones a and b, row pa
-    of the kernel N_a of a is negative on the ray of b opposite the facet,
-    and the point p = sum of the rays of cone 0 lies in no other closed cone.
+    minus the ray at position pos) lies in exactly two cones a and b, as
+    the fan's facet table (``_facet_table``) lists them, row pa of the
+    kernel N_a of a is negative on the ray of b opposite the facet, and the
+    point p = sum of the rays of cone 0 lies in no other closed cone.
 
     Row pa of N_a vanishes on the facet and is d_a > 0 on the ray of a
     opposite it, so the sign test says that a and b lie strictly on opposite
@@ -282,16 +304,11 @@ def _certifies_complete(fan: Fan) -> bool:
     cones = fan.max_cones
     if not cones or any(len(cone) != fan.dim for cone in cones):
         return False
-    facets: dict[Cone, list[tuple[int, int]]] = {}
-    for cidx, cone in enumerate(cones):
-        for pos in range(len(cone)):
-            facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((cidx, pos))
-    for sides in facets.values():
+    for sides in _facet_table(fan).values():
         if len(sides) != 2:
             return False
         (a, pa), (b, pb) = sides
-        normal = fan.kernel(cones[a])[0][pa]
-        if sum(x * y for x, y in zip(normal, fan.rays[cones[b][pb]])) >= 0:
+        if sum(map(mul, fan.kernel(a)[0][pa], fan.rays[b[pb]])) >= 0:
             return False
     p = tuple(sum(coords) for coords in zip(*(fan.rays[i] for i in cones[0])))
     return all(any(c < 0 for c in mat_vec(fan.kernel(cone)[0], p)) for cone in cones[1:])

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from quasilines import bundles
 from quasilines.bundles import (
     DivisorData,
     InapplicableReductionError,
     InvalidSplittingError,
     NotAmpleError,
+    PlanBudgetError,
     SplittingType,
     codim2_blowup,
     elementary_transform,
@@ -139,6 +141,26 @@ class TestQuasilinePlan:
                 assert after == codim2_blowup(before)
                 assert min(after.exponents) >= 1
             assert plan.almost_line == (t.exponents != (1,) * k)
+
+
+class TestPlanBudget:
+    def test_plan_at_the_budget_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(bundles, "PLAN_STEP_BUDGET", 3)
+        assert quasiline_plan(SplittingType((2, 3))).steps == 3
+        monkeypatch.setattr(bundles, "PLAN_STEP_BUDGET", 2)
+        with pytest.raises(PlanBudgetError, match="needs 3 codimension-2 blow-ups, "
+                           "over the budget PLAN_STEP_BUDGET = 2$"):
+            quasiline_plan(SplittingType((2, 3)))
+
+    def test_long_plan_raises_before_the_first_step(self, monkeypatch):
+        # The step count is the sum of the exponents less their number, so
+        # a type of a few digits asks for a plan longer than any output.
+        def blowup(t):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(bundles, "codim2_blowup", blowup)
+        with pytest.raises(PlanBudgetError, match="needs 999999999 codimension-2 blow-ups"):
+            quasiline_plan(SplittingType((10**9, 1)))
 
 
 class TestFibrationReduction:

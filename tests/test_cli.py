@@ -525,6 +525,35 @@ class TestLatticePointBudget:
         code, doc, _ = structured(["fan", "h0", str(fan_file), "--values", "0,0,-1"])
         assert (code, doc["h0"]) == (0, 3)
 
+    def test_scan_budget_counts_every_range(self, tmp_path, monkeypatch):
+        # O(1) on P^2 scans u_0 in 0..1, then u_1 in 0..1 and 0..0: 5 values.
+        fan_file = tmp_path / "p2.txt"
+        fan_file.write_text(P2_FAN_DOC)
+        argv = ["fan", "h0", str(fan_file), "--values", "0,0,-1"]
+        monkeypatch.setattr(divisors, "LATTICE_SCAN_BUDGET", 5)
+        code, doc, _ = structured(argv)
+        assert (code, doc["h0"]) == (0, 3)
+        monkeypatch.setattr(divisors, "LATTICE_SCAN_BUDGET", 4)
+        code, doc, text = structured(argv)
+        assert (code, doc["error"]) == (2, "LatticePointBudgetError")
+        assert text.endswith("detail: lattice-point enumeration scanned 5 values, "
+                             "over the budget LATTICE_SCAN_BUDGET = 4\n")
+
+    def test_sparse_scan_exits_2_before_walking_it(self, tmp_path):
+        # A valid fan whose sections polyhedron holds 3 points but spans
+        # N + 2 values of u_0; at N = 10^6 the scan ran for seconds.
+        n = 10**6
+        fan_file = tmp_path / "thin.txt"
+        fan_file.write_text(
+            f"dim: 2\nrays:\n- -1 {n + 1}\n- 1 -{n}\n- 0 -1\ncones:\n- 0 1\n- 1 2\n- 0 2\n"
+        )
+        start = time.perf_counter()
+        code, doc, text = structured(["fan", "h0", str(fan_file), "--values=0,0,-1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, doc["error"]) == (2, "LatticePointBudgetError")
+        assert text.endswith("detail: lattice-point enumeration scanned 1000002 values, "
+                             "over the budget LATTICE_SCAN_BUDGET = 1000000\n")
+
 
 class TestCubicResampleBudget:
     def test_bound_zero_exhausts_the_budget(self):

@@ -1,6 +1,8 @@
 """The integer cone kernel against the ``Fraction`` oracles."""
 
 import itertools
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
@@ -360,7 +362,7 @@ class TestExchangeStep:
         child = tuple(sorted(set(cone) - {pos} | {dim}))
         fan = Fan(dim, rays + (w,), (cone, child))
         fan.kernel(cone)
-        assert fan._facets[child[:-1]] == (cone, pos)
+        assert fan._facets[child[:-1]] == [(cone, pos), (child, dim - 1)]
         child_rays = transpose([fan.rays[i] for i in child])
         if lattice.mat_vec(fan.kernel(cone)[0], w)[pos] == 0:
             # As Bareiss does: w lies in the facet's span.
@@ -418,6 +420,85 @@ class TestExchangeStep:
         assert fan.kernel((1, 2)) == rational_inverse(transpose([(0, 1), (-1, -1)]))
         assert fan.kernel((0, 2)) == rational_inverse(transpose([(1, 0), (-1, -1)]))
         assert len(inverse_calls) == 3
+
+
+class TestFacetTable:
+    """One facet table per fan: the kernel exchange and the completeness
+    certificate read the same map, built once."""
+
+    @pytest.fixture(scope="class")
+    def refinement(self):
+        smooth = fans.desingularize(cyclic_quotient_fans(8)[1])
+        assert len(smooth.max_cones) == 2700
+        return smooth
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """One flag per call of ``_facet_table`` from now on: whether that
+        call built the table."""
+        calls = []
+        build = fans._facet_table
+
+        def spy(fan):
+            calls.append(fan._facets is None)
+            return build(fan)
+
+        monkeypatch.setattr(fans, "_facet_table", spy)
+        return calls
+
+    def test_every_facet_has_two_sides(self, refinement):
+        table = fans._facet_table(Fan(refinement.dim, refinement.rays, refinement.max_cones))
+        assert len(table) == 2700 * 8 // 2
+        for facet, sides in table.items():
+            assert len(sides) == 2
+            assert all(cone[:pos] + cone[pos + 1:] == facet for cone, pos in sides)
+
+    @pytest.mark.parametrize("source", ["file", "desingularize"])
+    def test_validation_builds_the_table_once(self, refinement, builds, source):
+        # A fan read from a file builds the table at its first kernel miss
+        # and the certificate reads it; a fan that holds every kernel, as
+        # the one desingularize returns does, builds it in the certificate.
+        fan = Fan(refinement.dim, refinement.rays, refinement.max_cones)
+        if source == "desingularize":
+            fan = fans._sharing_kernels(fan, dict(refinement._kernels))
+        assert fans.validate_fan(fan).valid
+        assert builds.count(True) == 1
+        table = fan._facets
+        # A second certificate builds nothing and allocates no map of its
+        # own: its peak, mostly the slice of cones past cone 0, stays well
+        # below the size of the table's dict alone.
+        builds.clear()
+        tracemalloc.start()
+        try:
+            assert fans._certifies_complete(fan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert builds == [False] and fan._facets is table
+        assert peak < sys.getsizeof(table) // 4
+
+    def test_subdivisions_build_no_table(self, builds):
+        # The fans stellar_subdivide and desingularize return hold a kernel
+        # for every cone, so reading them needs no neighbour.
+        quotient = cyclic_quotient_fans(4)[1]
+        smooth = fans.desingularize(quotient)
+        split = fans.stellar_subdivide(smooth, (1, 1, 1, 1))
+        for fan in (smooth, split):
+            assert fans.is_smooth(fan)
+            for cone in fan.max_cones:
+                cone_coordinates(fan, cone, (1, 2, 3, 4))
+            assert fan._facets is None
+        assert builds.count(True) == 1 and quotient._facets is not None
+
+    def test_table_is_invisible_and_not_a_parameter(self):
+        fresh, used = cyclic_quotient_fans(3)[1], cyclic_quotient_fans(3)[1]
+        before = (repr(used), hash(used))
+        assert fans._certifies_complete(used)
+        assert used._facets and fresh._facets is None
+        assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+        assert used == fresh
+        with pytest.raises(TypeError):
+            Fan(1, ((1,), (-1,)), ((0,), (1,)), _facets={})
 
 
 def test_deleted_names_stay_gone():

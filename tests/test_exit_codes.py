@@ -50,9 +50,12 @@ FILES = {
     "badint.txt": "e: yes\n",
     "zeroint.txt": "e: 0\n",
     "boolint.txt": "e: true\n",
-    # A zero ray, a repeated ray, and four cones that each break a cone rule.
     # One cone of multiplicity 100000, over BOX_POINT_BUDGET.
     "widebox.txt": "dim: 2\nrays:\n- 1 0\n- 1 100000\ncones:\n- 0 1\n",
+    # Three sections, but u_0 spans 1,000,002 values, over LATTICE_SCAN_BUDGET.
+    "thin.txt": ("dim: 2\nrays:\n- -1 1000001\n- 1 -1000000\n- 0 -1\n"
+                 "cones:\n- 0 1\n- 1 2\n- 0 2\n"),
+    # A zero ray, a repeated ray, and four cones that each break a cone rule.
     "broken.txt": "dim: 2\nrays:\n- 1 0\n- 0 0\n- 1 0\ncones:\n- 0 1\n- 0 0\n- 0 1 2\n- 0 1\n",
     "sub": None,  # a directory
 }
@@ -123,6 +126,10 @@ GOLDEN = [
     ("plan-not-ample", "bundle plan --type 0,2", 0, 2,
      ("# quasilines bundle\nreport: error\nseed: 0\nerror: NotAmpleError\n"
       "detail: every exponent must be at least 1\n")),
+    ("plan-budget", "bundle plan --type 1000000000", 0, 2,
+     ("# quasilines bundle\nreport: error\nseed: 0\nerror: PlanBudgetError\n"
+      "detail: the quasi-line plan needs 999999999 codimension-2 blow-ups, "
+      "over the budget PLAN_STEP_BUDGET = 10000\n")),
     ("plan-not-ample-structured", "bundle plan --type 0,2 --format structured --seed 5", 0, 2,
      ("report: error\nseed: 5\nerror: NotAmpleError\n"
       "detail: every exponent must be at least 1\n")),
@@ -250,6 +257,10 @@ GOLDEN = [
     ("h0-unbounded-structured", "fan h0 half.txt --values 0,0 --format structured --seed 9", 0, 2,
      ("report: error\nseed: 9\nerror: UnboundedPolyhedronError\n"
       "detail: recession direction exists along axis 0\n")),
+    ("h0-scan-budget", "fan h0 thin.txt --values=0,0,-1", 0, 2,
+     ("# quasilines fan\nreport: error\nseed: 0\nerror: LatticePointBudgetError\n"
+      "detail: lattice-point enumeration scanned 1000002 values, "
+      "over the budget LATTICE_SCAN_BUDGET = 1000000\n")),
     ("h0-divisor-no-ref", "fan h0 --divisor noref.txt", 0, 1,
      _usage("divisor file does not reference a fan file")),
     ("h0-divisor-no-values", "fan h0 --divisor novalues.txt", 0, 1,
@@ -425,6 +436,7 @@ ERROR_CLASSES = [
     ("bundles", "InvalidSplittingError", 2, ValueError),
     ("bundles", "NotAmpleError", 2, ValueError),
     ("bundles", "InapplicableReductionError", 2, ValueError),
+    ("bundles", "PlanBudgetError", 2, None),
     ("cubic", "ZeroPolynomialError", 2, ValueError),
     ("cubic", "NotOnHypersurfaceError", 2, ValueError),
     ("cubic", "SingularPointError", 2, ValueError),

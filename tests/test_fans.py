@@ -19,6 +19,7 @@ from quasilines.fans import (
     _box_lattice_points,
     _carrier_star,
     _certifies_complete,
+    _facet_table,
     _integer_kernel,
     _meet_in_common_face,
     cone_contains,
@@ -332,6 +333,16 @@ class TestCompletenessCertificate:
             assert validate_fan(fan).valid
         if corruption == "duplicate":
             assert not validate_fan(fan).valid
+
+    @settings(max_examples=50, deadline=None)
+    @given(subdivided_fans(("drop", "duplicate")))
+    def test_corruptions_give_one_and_three_sided_facets(self, case):
+        # Dropping a cone leaves each of its facets one side; repeating a
+        # cone gives each of them three.  The certificate rejects both.
+        fan, corruption = case
+        sides = {len(found) for found in _facet_table(fan).values()}
+        assert (1 if corruption == "drop" else 3) in sides
+        assert not certificate_accepts(fan)
 
 
 VALID_FANS = subdivided_fans(("none",))
