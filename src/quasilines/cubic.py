@@ -9,8 +9,15 @@ certifies exactly six lines.  Through the classical two-points-on-a-secant
 correspondence this number is the conic invariant e of the threefold.
 
 Arithmetic is exact: integer coefficients stay integers, and a rational
-appears only where the algorithm divides.  Genericity is never assumed,
-only detected, and failures trigger seeded resampling.
+appears only where the algorithm divides.  The count runs over the
+integers after the pencil expansion: the restricted forms are scaled to
+integer polynomials, their resultant is interpolated from integer
+determinants at D + 1 points (Bareiss 1968, Collins 1971), and the
+squarefree and no-loss tests are integer resultants too.  A ``Fraction``
+appears there only to clear the denominators of rational input and in the
+one final division by the scales.  ``sylvester_resultant`` and
+``gcd_univariate`` decide the same over ``Poly``.  Genericity is never
+assumed, only detected, and failures trigger seeded resampling.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, lcm
+from operator import mul
 
 from .errors import QuasilinesError, UsageError
 
@@ -373,12 +382,124 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
     return PencilExpansion(point, pivot, parts[1], parts[2], parts[3])
 
 
+def _bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968).  Each step eliminates the first column and drops it
+    with the pivot row; every entry left is a minor of the input, so each
+    division is exact and no rational appears."""
+    m = list(matrix)
+    sign, prev = 1, 1
+    while m:
+        pivot = next((i for i, row in enumerate(m) if row[0]), None)
+        if pivot is None:
+            return 0
+        if pivot:
+            m[0], m[pivot] = m[pivot], m[0]
+            sign = -sign
+        p, *pk = m[0]
+        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], pk)] for row in m[1:]]
+        prev = p
+    return sign * prev
+
+
+def _sylvester_determinant(p: list[int], q: list[int]) -> int:
+    """Resultant of two ascending integer coefficient lists, read with the
+    formal degrees len - 1, as the integer determinant of their Sylvester
+    matrix (laid out as in ``sylvester_resultant``)."""
+    m, n = len(p) - 1, len(q) - 1
+    rows = [[0] * r + p[::-1] + [0] * (n - 1 - r) for r in range(n)]
+    rows += [[0] * r + q[::-1] + [0] * (m - 1 - r) for r in range(m)]
+    return _bareiss_determinant(rows)
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """Ascending coefficients of the integer polynomial of degree below
+    len(values) that takes values[x] at x = 0, 1, ...; trailing zeros are
+    trimmed, so the zero polynomial gives [].
+
+    Newton's forward differences give the coefficients a_k = Δ^k f(0) / k!
+    in the falling-factorial basis.  They are integers for a polynomial
+    with integer coefficients, because x^n is an integer combination of
+    falling factorials (Stirling numbers), so each division is exact.
+    """
+    newton, diffs = [], list(values)
+    for k in range(len(values)):
+        newton.append(diffs[0] // factorial(k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in reversed(range(len(newton))):
+        # coeffs <- coeffs * (x - k) + a_k
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    return _uni_trim(coeffs)
+
+
+def _restrict_to_plane(form: Poly, degree: int, lead, line_powers: list[dict],
+                       eliminated: int, survivor: int, resultant_var: int):
+    """Integer restriction of a form of ``degree`` to the plane q1 = 0 and
+    to the chart = 1, in the survivor s and the resultant variable y.
+
+    With q1 solved as x_eliminated = line / lead, where ``line_powers[k]``
+    holds the terms of line^k, lead^degree times the restriction is a
+    polynomial; any denominators left from rational coefficients are
+    cleared by their lcm.  Returns the columns of the integer polynomial P,
+    one ascending list in s per power of y, each trimmed and the last
+    nonzero ([] for P = 0), and the scale, the rational factor that turns
+    the restriction into P.
+    """
+    grid: list[list[int | Fraction]] = [[0] * (degree + 1) for _ in range(degree + 1)]
+    for exps, coeff in form.terms.items():
+        k = exps[eliminated]
+        factor = coeff * lead ** (degree - k)
+        for (i, j), c in line_powers[k].items():
+            grid[j + exps[resultant_var]][i + exps[survivor]] += factor * c
+    den = lcm(*(c.denominator for column in grid for c in column))
+    columns = [_uni_trim([(c * den).numerator for c in column]) for column in grid]
+    while columns and not columns[-1]:
+        columns.pop()
+    return columns, lead ** degree * den
+
+
+def _resultant_over_z(p_cols: list[list[int]], q_cols: list[list[int]]) -> list[int]:
+    """Ascending coefficients of Res_y(P, Q) in the survivor s, for integer
+    polynomials P, Q in (s, y) of positive degree in y, given by their
+    columns as ``_restrict_to_plane`` returns them.
+
+    The resultant has degree at most D = totdeg(P) totdeg(Q) in s, so it is
+    interpolated exactly from its values at s = 0..D, each one integer
+    determinant of the evaluated Sylvester matrix (Collins 1971).  The
+    formal degrees in y are kept at every point, so each value is the
+    resultant evaluated there, even where a leading coefficient vanishes.
+    """
+    bound = 1
+    for cols in (p_cols, q_cols):
+        bound *= max(j + len(col) - 1 for j, col in enumerate(cols))
+    values = []
+    for s in range(bound + 1):
+        powers = [s ** i for i in range(bound + 1)]
+        values.append(_sylvester_determinant(
+            [sum(map(mul, col, powers)) for col in p_cols],
+            [sum(map(mul, col, powers)) for col in q_cols],
+        ))
+    return _interpolate(values)
+
+
 def count_lines_through_point(f: Poly, point) -> LineCountReport:
     """Count the lines on the cubic through a smooth point of it.
 
     The linear part cuts a plane out of the direction space; the quadric
     and cubic parts restrict to a conic and a cubic there, and the count
     is certified by the degree and squarefreeness of their resultant.
+
+    The work after the pencil expansion is integral.  Each restricted form
+    is scaled to an integer polynomial P or Q; their resultant is
+    interpolated from integer determinants (``_resultant_over_z``) and
+    divided once by the scales, Res(P, Q) = scale_P^deg Q scale_Q^deg P
+    Res(conic, cubic).  A univariate R of degree >= 2 is squarefree exactly
+    when Res(R, R') != 0, and no solution escapes to infinity when the two
+    leading coefficients share no root, Res(lc_P, lc_Q) != 0; each is one
+    integer determinant.  ``sylvester_resultant`` and ``gcd_univariate``
+    decide the same over ``Poly``.
     """
     expansion = line_pencil_expansion(f, point)
     if expansion.q1.is_zero:
@@ -389,22 +510,21 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
     chart, survivor, resultant_var = sorted(
         set(range(5)) - {expansion.pivot, eliminated}
     )
-    # One substitution restricts to the plane q1 = 0 and to the chart = 1.
-    # q2 and q3 are homogeneous, so a form vanishes on the plane exactly
-    # when it vanishes on the chart.
-    plane = [Poly.variable(v, 5) for v in range(5)]
-    plane[chart] = Poly.constant(1, 5)
-    solved = Poly.zero(5)
-    for var, coeff in linear.items():
-        if var != eliminated:
-            solved = solved + plane[var] * Fraction(-coeff, lead)
-    plane[eliminated] = solved
-    conic_affine = expansion.q2.compose(plane)
-    cubic_affine = expansion.q3.compose(plane)
-    if conic_affine.is_zero or cubic_affine.is_zero:
+    # On the plane q1 = 0 and the chart = 1, lead * x_eliminated is the
+    # line below.  q2 and q3 are homogeneous, so a form vanishes on the
+    # plane exactly when it vanishes on the chart.
+    line = Poly(2, {
+        key: -linear[var]
+        for var, key in ((chart, (0, 0)), (survivor, (1, 0)), (resultant_var, (0, 1)))
+        if var in linear
+    })
+    line_powers = [(line ** k).terms for k in range(4)]
+    axes = (eliminated, survivor, resultant_var)
+    conic, conic_scale = _restrict_to_plane(expansion.q2, 2, lead, line_powers, *axes)
+    cubic, cubic_scale = _restrict_to_plane(expansion.q3, 3, lead, line_powers, *axes)
+    if not conic or not cubic:
         raise DegenerateError("a restricted form vanishes identically")
-    d_conic = conic_affine.degree_in(resultant_var)
-    d_cubic = cubic_affine.degree_in(resultant_var)
+    d_conic, d_cubic = len(conic) - 1, len(cubic) - 1
     full_degrees = d_conic == 2 and d_cubic == 3
     if d_conic < 1 or d_cubic < 1:
         return LineCountReport(
@@ -417,21 +537,19 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
             full_fibre_degrees=full_degrees,
             resultant=(),
         )
-    resultant = sylvester_resultant(conic_affine, cubic_affine, resultant_var)
-    if resultant.is_zero:
+    resultant = _resultant_over_z(conic, cubic)
+    if not resultant:
         raise DegenerateError("resultant vanishes identically")
-    degree = resultant.degree_in(survivor)
-    derivative = resultant.derivative(survivor)
-    squarefree = (
-        degree >= 1 and gcd_univariate(resultant, derivative).total_degree() == 0
+    degree = len(resultant) - 1
+    squarefree = degree == 1 or (degree >= 2 and _sylvester_determinant(
+        resultant, [i * c for i, c in enumerate(resultant)][1:]
+    ) != 0)
+    no_loss = (
+        len(conic[-1]) == 1 or len(cubic[-1]) == 1
+        or _sylvester_determinant(conic[-1], cubic[-1]) != 0
     )
-    lc_conic = conic_affine.coefficients_in(resultant_var)[d_conic]
-    lc_cubic = cubic_affine.coefficients_in(resultant_var)[d_cubic]
-    if lc_conic.total_degree() == 0 or lc_cubic.total_degree() == 0:
-        no_loss = True
-    else:
-        no_loss = gcd_univariate(lc_conic, lc_cubic).total_degree() == 0
     generic = full_degrees and degree == 6 and squarefree and no_loss
+    scale = conic_scale ** d_cubic * cubic_scale ** d_conic
     return LineCountReport(
         count=degree,
         with_multiplicity=not squarefree,
@@ -440,7 +558,7 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
         squarefree=squarefree,
         no_loss_at_infinity=no_loss,
         full_fibre_degrees=full_degrees,
-        resultant=tuple(resultant.as_univariate(survivor)),
+        resultant=tuple(Fraction(c, scale) for c in resultant),
     )
 
 

@@ -161,9 +161,9 @@ def _facet_table(fan: Fan) -> dict[Cone, list[tuple[Cone, int]]]:
     """
     if fan._facets is None:
         facets: dict[Cone, list[tuple[Cone, int]]] = {}
-        for cone, pos in itertools.product(fan.max_cones, range(fan.dim)):
-            if len(cone) == fan.dim:
-                facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((cone, pos))
+        full = [cone for cone in fan.max_cones if len(cone) == fan.dim]
+        for cone, pos in itertools.product(full, range(fan.dim)):
+            facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((cone, pos))
         object.__setattr__(fan, "_facets", facets)
     return fan._facets
 

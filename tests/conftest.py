@@ -9,6 +9,15 @@ from math import prod
 import pytest
 
 from quasilines import cli, fans, lattice
+from quasilines.cubic import (
+    DegenerateError,
+    LineCountReport,
+    Poly,
+    SingularPointError,
+    gcd_univariate,
+    line_pencil_expansion,
+    sylvester_resultant,
+)
 from quasilines.divisors import (
     _EXTENSION_NOTE,
     ExtensionReport,
@@ -175,6 +184,74 @@ def determinant(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[rows - 1][rows - 1]
+
+
+def fraction_plane_restriction(f, point):
+    """The conic and the cubic of ``fraction_line_count`` as ``Poly`` over
+    ``Fraction``, with the survivor and the resultant variable: two
+    ``compose`` calls restrict q2 and q3 to the plane q1 = 0 and to the
+    chart = 1."""
+    expansion = line_pencil_expansion(f, point)
+    if expansion.q1.is_zero:
+        raise SingularPointError("the linear part vanishes: singular base point")
+    linear = {exps.index(1): coeff for exps, coeff in expansion.q1.terms.items()}
+    eliminated = min(linear)
+    lead = linear[eliminated]
+    chart, survivor, resultant_var = sorted(
+        set(range(5)) - {expansion.pivot, eliminated}
+    )
+    plane = [Poly.variable(v, 5) for v in range(5)]
+    plane[chart] = Poly.constant(1, 5)
+    solved = Poly.zero(5)
+    for var, coeff in linear.items():
+        if var != eliminated:
+            solved = solved + plane[var] * Fraction(-coeff, lead)
+    plane[eliminated] = solved
+    return expansion.q2.compose(plane), expansion.q3.compose(plane), survivor, resultant_var
+
+
+def fraction_line_count(f, point):
+    """Reference for ``cubic.count_lines_through_point``: the same checks
+    over ``Poly`` with ``Fraction`` coefficients.  The forms are restricted
+    by ``fraction_plane_restriction``, ``sylvester_resultant`` expands
+    their resultant by column subsets, and ``gcd_univariate`` decides the
+    squarefree and no-loss tests."""
+    conic_affine, cubic_affine, survivor, resultant_var = fraction_plane_restriction(f, point)
+    if conic_affine.is_zero or cubic_affine.is_zero:
+        raise DegenerateError("a restricted form vanishes identically")
+    d_conic = conic_affine.degree_in(resultant_var)
+    d_cubic = cubic_affine.degree_in(resultant_var)
+    full_degrees = d_conic == 2 and d_cubic == 3
+    if d_conic < 1 or d_cubic < 1:
+        return LineCountReport(
+            count=0, with_multiplicity=True, generic=False, resultant_degree=-1,
+            squarefree=False, no_loss_at_infinity=False,
+            full_fibre_degrees=full_degrees, resultant=(),
+        )
+    resultant = sylvester_resultant(conic_affine, cubic_affine, resultant_var)
+    if resultant.is_zero:
+        raise DegenerateError("resultant vanishes identically")
+    degree = resultant.degree_in(survivor)
+    derivative = resultant.derivative(survivor)
+    squarefree = (
+        degree >= 1 and gcd_univariate(resultant, derivative).total_degree() == 0
+    )
+    lc_conic = conic_affine.coefficients_in(resultant_var)[d_conic]
+    lc_cubic = cubic_affine.coefficients_in(resultant_var)[d_cubic]
+    if lc_conic.total_degree() == 0 or lc_cubic.total_degree() == 0:
+        no_loss = True
+    else:
+        no_loss = gcd_univariate(lc_conic, lc_cubic).total_degree() == 0
+    return LineCountReport(
+        count=degree,
+        with_multiplicity=not squarefree,
+        generic=full_degrees and degree == 6 and squarefree and no_loss,
+        resultant_degree=degree,
+        squarefree=squarefree,
+        no_loss_at_infinity=no_loss,
+        full_fibre_degrees=full_degrees,
+        resultant=tuple(resultant.as_univariate(survivor)),
+    )
 
 
 def invariant_factors(a):

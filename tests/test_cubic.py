@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from quasilines import cubic
+from conftest import fraction_line_count, fraction_plane_restriction
 from quasilines.cli import run
 from quasilines.cubic import (
     BASE_POINT,
@@ -26,6 +26,9 @@ from quasilines.cubic import (
     reducible_demo_instance,
     sample_cubic_instance,
     sylvester_resultant,
+    _bareiss_determinant,
+    _interpolate,
+    _sylvester_determinant,
 )
 from quasilines.errors import QuasilinesError
 
@@ -181,23 +184,20 @@ class TestCountLines:
             resultant=(),
         )
 
-    def test_leading_coefficients_decided_by_gcd(self, monkeypatch):
-        # Both leading coefficients are nonconstant, so a second gcd, after
-        # the squarefree test, decides that no root is lost at infinity.
-        calls = []
-
-        def counting_gcd(a, b):
-            calls.append((a, b))
-            return gcd_univariate(a, b)
-
-        monkeypatch.setattr(cubic, "gcd_univariate", counting_gcd)
+    def test_leading_coefficients_decided_by_gcd(self):
+        # Both leading coefficients are nonconstant and coprime, so the
+        # no-loss test takes the branch that compares their roots.
         f, point = sample_cubic_instance(16, 2)
         assert count_lines_through_point(f, point) == LineCountReport(
             count=5, with_multiplicity=False, generic=False, resultant_degree=5,
             squarefree=True, no_loss_at_infinity=True, full_fibre_degrees=False,
             resultant=(2, -2, -3, -3, 4, 2),
         )
-        assert len(calls) == 2
+        conic, cubic_form, _, resultant_var = fraction_plane_restriction(f, point)
+        leads = [form.coefficients_in(resultant_var)[form.degree_in(resultant_var)]
+                 for form in (conic, cubic_form)]
+        assert all(lc.total_degree() > 0 for lc in leads)
+        assert gcd_univariate(*leads).total_degree() == 0
 
     def test_determinism(self):
         first = conic_count_certificate(3)
@@ -301,3 +301,163 @@ def test_cubic_report_bytes_are_pinned(seed):
     code, out = run(["cubic", "--seed", str(seed)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_DIGESTS[seed]
+
+
+def _fraction_determinant(matrix):
+    """Determinant by Gaussian elimination over ``Fraction``."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            factor = row[k] / m[k][k]
+            row[:] = [a - factor * b for a, b in zip(row, m[k])]
+    return det
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of size 0..6; some have a dependent row, and
+    some a zero leading entry that makes the first pivot need a row swap."""
+    size = draw(st.integers(0, 6))
+    entry = st.integers(-20, 20)
+    m = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if size >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(size)))[:2]
+        k = draw(st.integers(-3, 3))
+        m[i] = [k * x for x in m[j]]
+    if size >= 2 and draw(st.booleans()):
+        m[0][0] = 0
+    return m
+
+
+class TestIntegerKernels:
+    """The integer helpers of the count path against exact oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_bareiss_matches_fraction_determinant(self, m):
+        det = _bareiss_determinant(m)
+        assert type(det) is int
+        assert det == _fraction_determinant(m)
+
+    def test_bareiss_swaps_rows_for_a_zero_pivot(self):
+        assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
+        assert _bareiss_determinant([[0, 2, 1], [0, 1, 5], [3, 4, 0]]) == 27
+        assert _bareiss_determinant([[1, 2, 3], [2, 4, 7], [0, 5, 1]]) == -5
+        assert _bareiss_determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        assert _bareiss_determinant([[2, 4], [1, 2]]) == 0
+        assert _bareiss_determinant([]) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.integers(-10**6, 10**6), max_size=d + 1))))
+    def test_interpolation_round_trip(self, case):
+        bound, coeffs = case
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        values = [sum(c * x ** i for i, c in enumerate(coeffs)) for x in range(bound + 1)]
+        assert _interpolate(values) == coeffs
+
+    def test_interpolation_of_zero_is_empty(self):
+        assert _interpolate([0] * 7) == []
+        assert _interpolate([]) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+           st.lists(st.integers(-9, 9), min_size=2, max_size=5))
+    def test_sylvester_determinant_matches_sylvester_resultant(self, p, q):
+        p[-1] = p[-1] or 1
+        q[-1] = q[-1] or 1
+        res = sylvester_resultant(Poly(1, {(i,): c for i, c in enumerate(p)}),
+                                  Poly(1, {(i,): c for i, c in enumerate(q)}), 0)
+        assert _sylvester_determinant(p, q) == res.evaluate((0,))
+
+
+@st.composite
+def sparse_cubics(draw):
+    """Integer cubics through BASE_POINT with mostly zero coefficients: they
+    reach the singular point and both degenerate raises."""
+    coeff = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1])
+    return {exps: draw(coeff) for exps in CUBIC_MONOMIALS}
+
+
+def _same_count(f, point):
+    """The integer count path and the ``Fraction`` oracle agree: equal
+    reports, each resultant coefficient printing alike, or equal error
+    classes."""
+    outcomes = []
+    for count in (count_lines_through_point, fraction_line_count):
+        try:
+            outcomes.append(count(f, point))
+        except QuasilinesError as exc:
+            outcomes.append(type(exc))
+    ours, oracle = outcomes
+    assert ours == oracle
+    if isinstance(ours, LineCountReport):
+        assert [str(c) for c in ours.resultant] == [str(c) for c in oracle.resultant]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(integer_cubics(), sparse_cubics()), st.integers(1, 6))
+def test_integer_count_matches_fraction_oracle(terms, denominator):
+    _same_count(Poly(5, terms), BASE_POINT)
+    _same_count(Poly(5, {e: Fraction(c) for e, c in terms.items()}), BASE_POINT)
+    # Rational coefficients leave denominators for the lcm to clear.
+    _same_count(Poly(5, {e: Fraction(c, denominator + i % 3)
+                         for i, (e, c) in enumerate(sorted(terms.items()))}), BASE_POINT)
+
+
+# Bound-1 samples reach every branch of the count: seed 56 has a degree-1
+# resultant, 66 forms none, 254 and 362 lose a root at infinity, and 738
+# and 3006 give the two degenerate raises.
+BOUND_1_SEEDS = [*range(40), 56, 66, 254, 362, 738, 3006]
+
+
+# Seeds 208 and 239 resample once at bound 9.
+@pytest.mark.parametrize("seed,bound", [
+    *((seed * 1000 + attempt, 9) for seed in range(30) for attempt in range(4)),
+    (208000, 9), (208001, 9), (239000, 9), (239001, 9),
+    *((seed, 1) for seed in BOUND_1_SEEDS),
+])
+def test_seeded_count_matches_fraction_oracle(seed, bound):
+    _same_count(*sample_cubic_instance(seed, bound))
+
+
+def test_bound_1_seeds_reach_every_branch():
+    outcomes = set()
+    for seed in BOUND_1_SEEDS:
+        try:
+            report = count_lines_through_point(*sample_cubic_instance(seed, 1))
+        except QuasilinesError as exc:
+            outcomes.add(str(exc))
+            continue
+        outcomes.add((min(report.resultant_degree, 2), report.squarefree,
+                      report.no_loss_at_infinity))
+    assert outcomes == {
+        "a restricted form vanishes identically",
+        "resultant vanishes identically",
+        "the linear part vanishes: singular base point",
+        (-1, False, False), (1, True, True), (2, True, True),
+        (2, False, True), (2, True, False), (2, False, False),
+    }
+
+
+# SHA-256 over s = 0..299 of the structured report bytes of
+# ``cubic --seed s --format structured`` followed by its exit code.
+CUBIC_300_SEED_DIGEST = "105c5dfb63716fc510c78b832981c544778bd4b9cd8955c36a955e631bda27cf"
+
+
+def test_300_seed_cubic_digest():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        code, out = run(["cubic", "--seed", str(seed), "--format", "structured"])
+        digest.update(out.encode())
+        digest.update(str(code).encode())
+    assert digest.hexdigest() == CUBIC_300_SEED_DIGEST
