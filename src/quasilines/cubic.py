@@ -1,23 +1,25 @@
 """Exact polynomial machinery and the conic count on cubic threefolds.
 
 Lines on a cubic hypersurface through a smooth rational point are counted
-by expanding the cubic along the pencil of lines through the point,
-restricting the quadratic and cubic parts to the plane cut out by the
-linear part, and certifying the count through a Sylvester resultant: a
-squarefree resultant of degree 6 with no solutions escaping to infinity
-certifies exactly six lines.  Through the classical two-points-on-a-secant
-correspondence this number is the conic invariant e of the threefold.
+by expanding the cubic along the pencil of lines through the point, each
+monomial term by term by the binomial theorem, restricting the quadratic
+and cubic parts to the plane cut out by the linear part, and certifying
+the count through a Sylvester resultant: a squarefree resultant of degree
+6 with no solutions escaping to infinity certifies exactly six lines.
+Through the classical two-points-on-a-secant correspondence this number is
+the conic invariant e of the threefold.
 
 Arithmetic is exact: integer coefficients stay integers, and a rational
-appears only where the algorithm divides.  The count runs over the
-integers after the pencil expansion: the restricted forms are scaled to
-integer polynomials, their resultant is interpolated from integer
-determinants at D + 1 points (Bareiss 1968, Collins 1971), and the
-squarefree and no-loss tests are integer resultants too.  A ``Fraction``
-appears there only to clear the denominators of rational input and in the
-one final division by the scales.  ``sylvester_resultant`` and
-``gcd_univariate`` decide the same over ``Poly``.  Genericity is never
-assumed, only detected, and failures trigger seeded resampling.
+appears only where the algorithm divides.  The expansion works on plain
+dicts and builds one ``Poly`` per graded piece.  The count after it runs
+over the integers: the restricted forms are scaled to integer
+polynomials, their resultant is interpolated from integer determinants at
+D + 1 points (Bareiss 1968, Collins 1971), and the squarefree and no-loss
+tests are integer resultants too.  A ``Fraction`` appears there only to
+clear the denominators of rational input and in the one final division by
+the scales.  ``sylvester_resultant`` and ``gcd_univariate`` decide the
+same over ``Poly``.  Genericity is never assumed, only detected, and
+failures trigger seeded resampling.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, lcm
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .errors import QuasilinesError, UsageError
@@ -157,38 +159,6 @@ class Poly:
                     value *= _exact(x) ** e
             total += value
         return total
-
-    def compose(self, replacements) -> "Poly":
-        """Substitute replacement polynomials for every variable.
-
-        Each replacement's powers are built once per call, in ascending
-        order, as ``**`` builds them, and shared by every term.
-        """
-        if len(replacements) != self.nvars:
-            raise DimensionMismatchError("one replacement per variable is required")
-        nvars = replacements[0].nvars
-        if any(r.nvars != nvars for r in replacements):
-            raise DimensionMismatchError("replacements live in different rings")
-        powers = [[Poly.constant(1, nvars)] for _ in replacements]
-        result = Poly.zero(nvars)
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(coeff, nvars)
-            for repl, table, e in zip(replacements, powers, exps):
-                if e:
-                    while len(table) <= e:
-                        table.append(table[-1] * repl)
-                    term = term * table[e]
-            result = result + term
-        return result
-
-    def derivative(self, var: int) -> "Poly":
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e:
-                key = exps[:var] + (e - 1,) + exps[var + 1:]
-                terms[key] = terms.get(key, 0) + coeff * e
-        return Poly(self.nvars, terms)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
@@ -352,7 +322,14 @@ class LineCountReport:
 
 
 def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
-    """Expand a cubic form along lines through a rational point of it."""
+    """Expand a cubic form along lines through a rational point of it.
+
+    Each monomial c x^e of f is expanded term by term, on plain dicts, by
+    the binomial theorem: (p_i + t v_i)^e_i = sum_k C(e_i, k) p_i^(e_i - k)
+    t^k v_i^k, where only k = 0 is taken on the pivot coordinate (v_pivot
+    = 0) and only k = e_i where p_i = 0.  The power of t sorts each term
+    into its graded piece; the t^0 piece sums to f(p) = 0.
+    """
     if f.nvars != 5:
         raise DimensionMismatchError("a cubic form in five variables is required")
     if f.total_degree() > 3:
@@ -365,18 +342,19 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
     if f.evaluate(point) != 0:
         raise NotOnHypersurfaceError("f does not vanish at the point")
     pivot = next(i for i, x in enumerate(point) if x != 0)
-    # Ring with variable 0 = t and variables 1..5 the direction coordinates.
-    replacements = []
-    t = Poly.variable(0, 6)
-    for i in range(5):
-        repl = Poly.constant(point[i], 6)
-        if i != pivot:
-            repl = repl + t * Poly.variable(1 + i, 6)
-        replacements.append(repl)
-    expanded = f.compose(replacements)
-    graded = [dict() for _ in range(4)]
-    for exps, coeff in expanded.terms.items():
-        graded[exps[0]][exps[1:]] = coeff
+    # tables[i][e] lists the kept pairs (k, C(e, k) p_i^(e - k)).
+    tables = [
+        [[(0, x ** e if e else 1)] if i == pivot else
+         [(k, comb(e, k) * x ** (e - k)) for k in range(e) if x] + [(e, 1)]
+         for e in range(4)]
+        for i, x in enumerate(point)
+    ]
+    graded: list[dict] = [{} for _ in range(4)]
+    for exps, coeff in f.terms.items():
+        for combo in product(*map(list.__getitem__, tables, exps)):
+            ks, factors = zip(*combo)
+            piece = graded[sum(ks)]
+            piece[ks] = piece.get(ks, 0) + prod(factors, start=coeff)
     parts = [Poly(5, g) for g in graded]
     assert parts[0].is_zero
     return PencilExpansion(point, pivot, parts[1], parts[2], parts[3])
@@ -513,12 +491,19 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
     # On the plane q1 = 0 and the chart = 1, lead * x_eliminated is the
     # line below.  q2 and q3 are homogeneous, so a form vanishes on the
     # plane exactly when it vanishes on the chart.
-    line = Poly(2, {
+    line = {
         key: -linear[var]
         for var, key in ((chart, (0, 0)), (survivor, (1, 0)), (resultant_var, (0, 1)))
         if var in linear
-    })
-    line_powers = [(line ** k).terms for k in range(4)]
+    }
+    # line^k = line^(k - 1) * line, on dicts keyed by (s, y) exponents.
+    line_powers = [{(0, 0): 1}]
+    for _ in range(3):
+        power: dict = {}
+        for (i, j), c in line_powers[-1].items():
+            for (a, b), d in line.items():
+                power[i + a, j + b] = power.get((i + a, j + b), 0) + c * d
+        line_powers.append(power)
     axes = (eliminated, survivor, resultant_var)
     conic, conic_scale = _restrict_to_plane(expansion.q2, 2, lead, line_powers, *axes)
     cubic, cubic_scale = _restrict_to_plane(expansion.q3, 3, lead, line_powers, *axes)

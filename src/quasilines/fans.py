@@ -40,6 +40,7 @@ from .lattice import (
     InfiniteIndexError,
     Matrix,
     Vec,
+    _row_products,
     fm_feasible,
     mat_vec,
     primitive,
@@ -145,7 +146,7 @@ class Fan:
                 kernel = self._kernels.get(neighbour)
                 if kernel is not None:
                     w = self.rays[w_index]
-                    coords = mat_vec(kernel[0], w) if len(w) == self.dim else None
+                    coords = _row_products(kernel[0], w) if len(w) == self.dim else None
                     if coords is None or not coords[pos]:
                         return None
                     return _exchange_kernel(kernel, neighbour, coords, pos, w_index, cone)
@@ -227,8 +228,10 @@ def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
     lower-dimensional cone first checks that the point lies in its span,
     R^T (N * point) = d * point.
     """
+    if len(point) != fan.dim:
+        raise ValueError(f"point of length {len(point)} in a fan of dimension {fan.dim}")
     inv, d = fan.kernel(cone)
-    coords = mat_vec(inv, tuple(point))
+    coords = _row_products(inv, point)
     if len(cone) < fan.dim and any(
         sum(c * fan.rays[i][j] for c, i in zip(coords, cone)) != d * x
         for j, x in enumerate(point)
@@ -311,7 +314,7 @@ def _certifies_complete(fan: Fan) -> bool:
         if sum(map(mul, fan.kernel(a)[0][pa], fan.rays[b[pb]])) >= 0:
             return False
     p = tuple(sum(coords) for coords in zip(*(fan.rays[i] for i in cones[0])))
-    return all(any(c < 0 for c in mat_vec(fan.kernel(cone)[0], p)) for cone in cones[1:])
+    return all(any(c < 0 for c in _row_products(fan.kernel(cone)[0], p)) for cone in cones[1:])
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
@@ -563,8 +566,8 @@ def desingularize(fan: Fan) -> Fan:
         target = heapq.heappop(heap)[1]
 
         def scored(w):
-            cones = _carrier_star(holders, target, mat_vec(kernels[target][0], w))
-            star = {cone: mat_vec(kernels[cone][0], w) for cone in cones}
+            cones = _carrier_star(holders, target, _row_products(kernels[target][0], w))
+            star = {cone: _row_products(kernels[cone][0], w) for cone in cones}
             return max(map(max, star.values())), w, star
 
         if kernels[target][1] > BOX_POINT_BUDGET:

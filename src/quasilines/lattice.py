@@ -64,6 +64,12 @@ def mat_vec(a: Matrix, v: Vec) -> Vec:
     rows, cols = _dims(a)
     if len(v) != cols:
         raise ValueError(f"cannot apply {rows}x{cols} matrix to vector of length {len(v)}")
+    return _row_products(a, v)
+
+
+def _row_products(a: Matrix, v: Vec) -> Vec:
+    """A v for a matrix whose shape the caller has fixed: nothing is checked,
+    and a short row or vector truncates."""
     return tuple(sum(map(mul, row, v)) for row in a)
 
 

@@ -24,6 +24,20 @@ class ParseError(UsageError):
 
 
 def _render_scalar(value) -> str:
+    """One scalar or tuple item as text.
+
+    Exact ints, strings and tuples, nearly every value a report holds, are
+    told by their type alone.  Every other value, bools, Fractions and all
+    subclasses included, takes the isinstance chain, which gives the same
+    text for those three types.
+    """
+    # isinstance(value, Fraction) is an ABC check, too slow to run on
+    # every int; the exact types skip the chain.
+    kind = type(value)
+    if kind is int or kind is str:
+        return str(value)
+    if kind is tuple:
+        return " ".join(map(_render_scalar, value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):

@@ -11,6 +11,7 @@ import pytest
 from quasilines import cli, fans, lattice
 from quasilines.cubic import (
     DegenerateError,
+    DimensionMismatchError,
     LineCountReport,
     Poly,
     SingularPointError,
@@ -186,6 +187,56 @@ def determinant(a):
     return sign * m[rows - 1][rows - 1]
 
 
+def compose(poly, replacements):
+    """Reference substitution: ``poly`` with the ``Poly`` replacements[i]
+    put in for variable i, each power built once, in ascending order."""
+    if len(replacements) != poly.nvars:
+        raise DimensionMismatchError("one replacement per variable is required")
+    nvars = replacements[0].nvars
+    if any(r.nvars != nvars for r in replacements):
+        raise DimensionMismatchError("replacements live in different rings")
+    powers = [[Poly.constant(1, nvars)] for _ in replacements]
+    result = Poly.zero(nvars)
+    for exps, coeff in poly.terms.items():
+        term = Poly.constant(coeff, nvars)
+        for repl, table, e in zip(replacements, powers, exps):
+            if e:
+                while len(table) <= e:
+                    table.append(table[-1] * repl)
+                term = term * table[e]
+        result = result + term
+    return result
+
+
+def derivative(poly, var):
+    """Reference partial derivative of ``poly`` in variable ``var``."""
+    terms = {}
+    for exps, coeff in poly.terms.items():
+        e = exps[var]
+        if e:
+            key = exps[:var] + (e - 1,) + exps[var + 1:]
+            terms[key] = terms.get(key, 0) + coeff * e
+    return Poly(poly.nvars, terms)
+
+
+def compose_pencil_expansion(f, point):
+    """Reference for the graded pieces (q1, q2, q3) of
+    ``cubic.line_pencil_expansion``: f composed with p_i + t v_i in the
+    ring (t, v_0, ..., v_4), v_pivot = 0, then sorted by the power of t."""
+    point = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in point)
+    pivot = next(i for i, x in enumerate(point) if x != 0)
+    t = Poly.variable(0, 6)
+    replacements = [Poly.constant(x, 6) for x in point]
+    for i in range(5):
+        if i != pivot:
+            replacements[i] = replacements[i] + t * Poly.variable(1 + i, 6)
+    graded = [{} for _ in range(4)]
+    for exps, coeff in compose(f, replacements).terms.items():
+        graded[exps[0]][exps[1:]] = coeff
+    assert not graded[0]
+    return tuple(Poly(5, g) for g in graded[1:])
+
+
 def fraction_plane_restriction(f, point):
     """The conic and the cubic of ``fraction_line_count`` as ``Poly`` over
     ``Fraction``, with the survivor and the resultant variable: two
@@ -207,7 +258,7 @@ def fraction_plane_restriction(f, point):
         if var != eliminated:
             solved = solved + plane[var] * Fraction(-coeff, lead)
     plane[eliminated] = solved
-    return expansion.q2.compose(plane), expansion.q3.compose(plane), survivor, resultant_var
+    return compose(expansion.q2, plane), compose(expansion.q3, plane), survivor, resultant_var
 
 
 def fraction_line_count(f, point):
@@ -232,9 +283,9 @@ def fraction_line_count(f, point):
     if resultant.is_zero:
         raise DegenerateError("resultant vanishes identically")
     degree = resultant.degree_in(survivor)
-    derivative = resultant.derivative(survivor)
     squarefree = (
-        degree >= 1 and gcd_univariate(resultant, derivative).total_degree() == 0
+        degree >= 1
+        and gcd_univariate(resultant, derivative(resultant, survivor)).total_degree() == 0
     )
     lc_conic = conic_affine.coefficients_in(resultant_var)[d_conic]
     lc_cubic = cubic_affine.coefficients_in(resultant_var)[d_cubic]
@@ -252,6 +303,35 @@ def fraction_line_count(f, point):
         full_fibre_degrees=full_degrees,
         resultant=tuple(resultant.as_univariate(survivor)),
     )
+
+
+def _isinstance_scalar(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return " ".join(_isinstance_scalar(v) for v in value)
+    raise TypeError(f"cannot render {value!r}")
+
+
+def isinstance_render(entries):
+    """Reference for ``report.render``: every scalar through one isinstance
+    chain, as before the exact-type dispatch."""
+    lines = []
+    for key, value in entries:
+        if isinstance(value, list):
+            lines.append(f"{key}:")
+            for item in value:
+                lines.append(f"- {_isinstance_scalar(item)}")
+        else:
+            text = _isinstance_scalar(value)
+            lines.append(f"{key}: {text}" if text else f"{key}:")
+    return "\n".join(lines) + "\n"
 
 
 def invariant_factors(a):

@@ -525,6 +525,9 @@ def test_deleted_names_stay_gone():
         (cli, "_RECORD_KEYS"),
         # One compose per form restricts to the plane and the chart.
         (Poly, "substitute"),
+        # The pencil is expanded term by term; the oracles live in conftest.
+        (Poly, "compose"),
+        (Poly, "derivative"),
         (divisors, "ExtensionSample"),
         # One table-driven scanner reads argv.
         (cli, "build_parser"),

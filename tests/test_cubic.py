@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_line_count, fraction_plane_restriction
+from conftest import (
+    compose,
+    compose_pencil_expansion,
+    derivative,
+    fraction_line_count,
+    fraction_plane_restriction,
+)
 from quasilines.cli import run
 from quasilines.cubic import (
     BASE_POINT,
@@ -44,14 +50,14 @@ class TestPolyArithmetic:
 
     def test_derivative(self):
         x = var(0, 1)
-        assert (x ** 3).derivative(0) == 3 * x * x
+        assert derivative(x ** 3, 0) == 3 * x * x
 
     def test_gcd_univariate(self):
         x = var(0, 1)
         one = Poly.constant(1, 1)
         g = gcd_univariate(x * x - one, x * x - 2 * x + one)
         assert g == x - one
-        assert (x * x - one).compose([one]).is_zero
+        assert compose(x * x - one, [one]).is_zero
 
     def test_evaluate(self):
         x, y = var(0, 2), var(1, 2)
@@ -61,7 +67,7 @@ class TestPolyArithmetic:
     def test_substitute(self):
         x, y = var(0, 2), var(1, 2)
         p = x * x + y
-        assert p.compose([y, y]) == y * y + y
+        assert compose(p, [y, y]) == y * y + y
 
 
 class TestSylvesterResultant:
@@ -147,7 +153,7 @@ class TestLinePencilExpansion:
             v = [rng.randint(-5, 5) for _ in range(5)]
             v[expansion.pivot] = 0
             gradient = sum(
-                f.derivative(i).evaluate(point) * v[i] for i in range(5)
+                derivative(f, i).evaluate(point) * v[i] for i in range(5)
             )
             assert expansion.q1.evaluate(v) == gradient
 
@@ -267,6 +273,65 @@ def test_fraction_coefficients_give_the_same_count(terms):
     as_fractions = _count_or_error(Poly(5, {e: Fraction(c) for e, c in terms.items()}))
     note(repr(as_ints))
     assert as_ints == as_fractions
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def rational_cubics_through_points(draw):
+    """``Fraction`` cubics through a rational point whose pivot, its first
+    nonzero coordinate, is not x0, so every binomial term of the other
+    nonzero coordinates enters the expansion."""
+    pivot = draw(st.integers(1, 4))
+    point = [0] * pivot + [draw(RATIONALS.filter(bool))]
+    point += [draw(RATIONALS) for _ in range(4 - pivot)]
+    terms = {exps: draw(RATIONALS) for exps in [(3, 0, 0, 0, 0), *CUBIC_MONOMIALS]}
+    # Subtract f(p) / p_pivot^3 times x_pivot^3, so that f(p) = 0.
+    cube = tuple(3 * (i == pivot) for i in range(5))
+    terms[cube] -= Poly(5, terms).evaluate(point) / point[pivot] ** 3
+    return terms, tuple(point)
+
+
+def taylor_terms(f, point, pivot):
+    """q1 = grad f(p).v, q2 = v^T H_f(p) v / 2 and q3 = f(v), v_pivot = 0."""
+    free = [i for i in range(5) if i != pivot]
+    unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    q1 = {unit[i]: derivative(f, i).evaluate(point) for i in free}
+    q2 = {
+        tuple(a + b for a, b in zip(unit[i], unit[j])):
+            derivative(derivative(f, i), j).evaluate(point) / (1 + (i == j))
+        for i in free for j in free if i <= j
+    }
+    q3 = {e: c for e, c in f.terms.items() if e[pivot] == 0}
+    return tuple(Poly(5, q) for q in (q1, q2, q3))
+
+
+def _typed(poly):
+    return {e: (type(c), str(c)) for e, c in poly.terms.items()}
+
+
+def _expansion_matches_oracles(f, point):
+    expansion = line_pencil_expansion(f, point)
+    parts = (expansion.q1, expansion.q2, expansion.q3)
+    assert [_typed(q) for q in parts] == [_typed(q) for q in compose_pencil_expansion(f, point)]
+    assert parts == taylor_terms(f, point, expansion.pivot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    integer_cubics().map(lambda terms: (terms, BASE_POINT)),
+    rational_cubics_through_points(),
+))
+def test_expansion_matches_compose_and_taylor_terms(case):
+    terms, point = case
+    _expansion_matches_oracles(Poly(5, terms), point)
+
+
+def test_expansion_matches_compose_on_seeded_samples():
+    for seed in range(300):
+        for attempt in (0, 1):
+            _expansion_matches_oracles(*sample_cubic_instance(seed * 1000 + attempt))
 
 
 # SHA-256 of the report bytes of ``cubic --seed s`` for s = 0..19, recorded

@@ -256,6 +256,21 @@ class TestLowerDimensionalCone:
         assert cone_coordinates(self.FAN, (0, 1), point) is None
         assert not cone_contains(self.FAN, (0, 1), point)
 
+    @pytest.mark.parametrize("fan,cone,point", [
+        (FAN, (0, 1), (1, 1)),
+        (FAN, (0, 1), (1, 1, 0, 0)),
+        (FAN, (2, 3), ()),
+        (make_fan(2, [(1, 0), (0, 1)], [(0, 1)]), (0, 1), (1,)),
+        (make_fan(2, [(1, 0), (0, 1)], [(0, 1)]), (0, 1), (1, 1, 0)),
+    ])
+    def test_wrong_length_point_raises(self, fan, cone, point):
+        # The row product would silently truncate to the shorter of a
+        # kernel row and the point; the length check in front must not.
+        with pytest.raises(ValueError, match=f"point of length {len(point)} "):
+            cone_coordinates(fan, cone, point)
+        with pytest.raises(ValueError, match=f"point of length {len(point)} "):
+            cone_contains(fan, cone, point)
+
 
 def certificate_accepts(fan):
     try:
