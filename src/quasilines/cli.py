@@ -26,7 +26,6 @@ never a traceback.  A models contradiction also exits 2.
 
 from __future__ import annotations
 
-import inspect
 import sys
 from math import lcm
 from pathlib import Path
@@ -71,11 +70,10 @@ from .fans import (
     validate_fan,
 )
 from .errors import QuasilinesError, UsageError
-from .models import BUILTIN_RECORDS, FLAG_FIELDS, INT_FIELDS, ModelRecord, propagate
+from .models import BUILTIN_RECORDS, FLAG_FIELDS, INT_FIELDS, ModelRecord, _shown, propagate
 from .report import parse, render
 
 MAX_QUOTIENT_N = 12
-MAX_LEMMA_N = 9
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -196,8 +194,7 @@ def _as_int(value, key: str) -> int:
     """An integer scalar of a document; a fraction, a bool or a string is
     rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        shown = str(value).lower() if isinstance(value, bool) else str(value)
-        raise UsageError(f"{key}: invalid integer {shown!r}")
+        raise UsageError(f"{key}: invalid integer {_shown(value)!r}")
     return value
 
 
@@ -244,8 +241,10 @@ def _load_values(args, fan: Fan, divisor: dict | None) -> tuple[int, ...]:
     return values
 
 
-def _require(args, flag: str, attr: str):
-    value = getattr(args, attr)
+def _require(args, flag: str):
+    """The value of the command's option ``flag``, read under the dest that
+    the command table gives it; a usage error when it was not given."""
+    value = getattr(args, _COMMANDS[args.command][2][flag][0])
     if value is None:
         raise UsageError(f"{flag} is required for this operation")
     return value
@@ -275,8 +274,6 @@ def _section_rows(psi: SupportFunction) -> list:
 
 
 def _cmd_appendix(args) -> tuple[list, int]:
-    if args.n < 2 or args.n > MAX_QUOTIENT_N:
-        raise BadDimensionError(f"--n must be between 2 and {MAX_QUOTIENT_N}")
     sub_fan, big_fan, inclusion = cyclic_quotient_fans(args.n)
     psi_big = quotient_hyperplane_support(big_fan)
     psi_sub = quotient_hyperplane_support(sub_fan)
@@ -284,8 +281,6 @@ def _cmd_appendix(args) -> tuple[list, int]:
     cert_big = cartier_certificate(psi_big)
     assert cert_sub.cartier and not cert_big.cartier
     entries = [
-        ("report", "appendix"),
-        ("seed", args.seed),
         ("n", args.n),
         ("quotient-rays", list(big_fan.rays)),
         ("quotient-cones", list(big_fan.max_cones)),
@@ -308,16 +303,10 @@ def _cmd_appendix(args) -> tuple[list, int]:
 
 
 def _cmd_lemma_a2(args) -> tuple[list, int]:
-    if args.n < 2 or args.n > MAX_LEMMA_N:
-        raise BadDimensionError(
-            f"--n must be between 2 and {MAX_LEMMA_N} for the extension suite"
-        )
     report, quotient, refined = quotient_extension_check(
         args.n, args.bound, args.samples, args.seed
     )
     entries = [
-        ("report", "lemma-a2"),
-        ("seed", args.seed),
         ("n", args.n),
         ("coeff-bound", args.bound),
         ("samples-requested", report.requested),
@@ -339,24 +328,20 @@ def _cmd_lemma_a2(args) -> tuple[list, int]:
 
 
 def _cmd_bundle(args) -> tuple[list, int]:
-    entries = [("report", f"bundle-{args.subop}"), ("seed", args.seed)]
     if args.subop == "recover":
-        targets = _parse_int_list(_require(args, "--targets", "targets"), "--targets")
-        anchor = _require(args, "--anchor", "anchor")
+        targets = _parse_int_list(_require(args, "--targets"), "--targets")
+        anchor = _require(args, "--anchor")
         result = recover_splitting(targets, anchor)
-        return entries + [("targets", targets), ("anchor", anchor),
-                          ("result", str(result))], 0
+        return [("targets", targets), ("anchor", anchor), ("result", str(result))], 0
     if args.subop == "thm41":
-        dd = DivisorData(d_y=_require(args, "--d", "d"),
-                         dim_d=_require(args, "--dimD", "dim_d"),
-                         n=_require(args, "--n", "n"))
-        has_quasiline = _require(args, "--quasiline", "quasiline") == "true"
+        dd = DivisorData(d_y=_require(args, "--d"), dim_d=_require(args, "--dimD"),
+                         n=_require(args, "--n"))
+        has_quasiline = _require(args, "--quasiline") == "true"
         verdict = strong_rationality_criterion(dd, has_quasiline)
-        return entries + [("d", dd.d_y), ("dimD", dd.dim_d), ("n", dd.n),
-                          ("quasiline", has_quasiline),
-                          ("strongly-rational-criterion", verdict)], 0
-    t = SplittingType(_parse_int_list(_require(args, "--type", "type_"), "--type"))
-    entries.append(("type", str(t)))
+        return [("d", dd.d_y), ("dimD", dd.dim_d), ("n", dd.n), ("quasiline", has_quasiline),
+                ("strongly-rational-criterion", verdict)], 0
+    t = SplittingType(_parse_int_list(_require(args, "--type"), "--type"))
+    entries = [("type", str(t))]
     if args.subop == "elm":
         return entries + [("result", str(elementary_transform(t)))], 0
     if args.subop == "point":
@@ -372,7 +357,7 @@ def _cmd_bundle(args) -> tuple[list, int]:
             ("kinds", list(plan.kinds) or "none"),
         ], 0
     # cor17 and thm16 read the divisor data; n defaults to the rank plus one.
-    dd = DivisorData(d_y=_require(args, "--d", "d"), dim_d=_require(args, "--dimD", "dim_d"),
+    dd = DivisorData(d_y=_require(args, "--d"), dim_d=_require(args, "--dimD"),
                      n=len(t) + 1 if args.n is None else args.n)
     entries += [("d", dd.d_y), ("dimD", dd.dim_d), ("n", dd.n)]
     if args.subop == "cor17":
@@ -398,8 +383,6 @@ def _cmd_cubic(args) -> tuple[list, int]:
     certificate = conic_count_certificate(args.seed, args.bound)
     report = certificate.report
     entries = [
-        ("report", "cubic"),
-        ("seed", args.seed),
         ("coefficient-bound", args.bound),
         ("attempt", certificate.attempt),
         ("point", certificate.point),
@@ -445,7 +428,10 @@ def _cmd_models(args) -> tuple[list, int]:
                 f"unknown builtin record {args.record!r}; choose from "
                 + ", ".join(sorted(BUILTIN_RECORDS))
             )
-        if args.n is not None and not inspect.signature(builder).parameters:
+        # A functools.wraps wrapper, as a tracer installs, keeps the builder
+        # in __wrapped__.
+        arity = getattr(builder, "__wrapped__", builder).__code__.co_argcount
+        if args.n is not None and not arity:
             raise UsageError(f"--n does not apply to the builtin record {args.record!r}")
         record = builder(args.n) if args.n is not None else builder()
     else:
@@ -453,22 +439,14 @@ def _cmd_models(args) -> tuple[list, int]:
     result = propagate(record)
     before = record.known_fields()
     after = result.record.known_fields()
-
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
     entries = [
-        ("report", "models"),
-        ("seed", args.seed),
         ("record", record.name),
-        ("input-fields", [f"{k} = {fmt(v)}" for k, v in sorted(before.items())] or "none"),
+        ("input-fields", [f"{k} = {_shown(v)}" for k, v in sorted(before.items())] or "none"),
         ("firings", [
             f"{f.rule} [{' '.join(f.inputs)}] -> {f.derived}" for f in result.firings
         ] or "none"),
         ("derived-fields", [
-            f"{k} = {fmt(v)}" for k, v in sorted(after.items()) if k not in before
+            f"{k} = {_shown(v)}" for k, v in sorted(after.items()) if k not in before
         ] or "none"),
         ("consistent", result.consistent),
     ]
@@ -485,10 +463,9 @@ def _cmd_models(args) -> tuple[list, int]:
 
 def _cmd_fan(args) -> tuple[list, int]:
     fan, divisor = _load_fan(args)
-    entries = [("report", f"fan-{args.subop}"), ("seed", args.seed)]
     outcome = validate_fan(fan)
     if args.subop == "validate":
-        return entries + [
+        return [
             ("dim", fan.dim),
             ("ray-count", len(fan.rays)),
             ("cone-count", len(fan.max_cones)),
@@ -499,7 +476,7 @@ def _cmd_fan(args) -> tuple[list, int]:
         raise UsageError(f"invalid fan: {outcome.violations[0]}")
     if args.subop == "desingularize":
         smooth = desingularize(fan)
-        return entries + [
+        return [
             ("dim", smooth.dim),
             ("rays", list(smooth.rays)),
             ("cones", list(smooth.max_cones)),
@@ -508,7 +485,7 @@ def _cmd_fan(args) -> tuple[list, int]:
         ], 0
     values = _load_values(args, fan, divisor)
     psi = SupportFunction(fan, values)
-    entries.append(("values", values))
+    entries = [("values", values)]
     if args.subop == "cartier":
         certificate = cartier_certificate(psi)
         entries.append(("cartier", certificate.cartier))
@@ -518,6 +495,8 @@ def _cmd_fan(args) -> tuple[list, int]:
     return entries + _section_rows(psi), 0
 
 
+# Each handler returns its body rows and exit code; ``run`` puts the report
+# and seed rows in front.
 _DISPATCH = {
     "appendix": _cmd_appendix,
     "lemma-a2": _cmd_lemma_a2,
@@ -535,13 +514,17 @@ def _usage_report(exc: Exception) -> tuple[int, str]:
 def run(argv) -> tuple[int, str]:
     """Execute one command; returns (exit code, rendered report), or (0,
     usage text) for -h/--help.  The class of a failure decides the code, as
-    the module docstring says."""
+    the module docstring says.  ``appendix`` and ``lemma-a2`` both take n
+    in 2..``MAX_QUOTIENT_N``."""
     try:
         args = parse_args(argv)
         if isinstance(args, str):
             return 0, args
+        if args.command in ("appendix", "lemma-a2") and not 2 <= args.n <= MAX_QUOTIENT_N:
+            raise BadDimensionError(f"--n must be between 2 and {MAX_QUOTIENT_N}")
         entries, code = _DISPATCH[args.command](args)
-        body = render(entries)
+        name = f"{args.command}-{args.subop}" if hasattr(args, "subop") else args.command
+        body = render([("report", name), ("seed", args.seed), *entries])
     except UsageError as exc:
         return _usage_report(exc)
     except QuasilinesError as exc:

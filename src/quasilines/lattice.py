@@ -83,70 +83,58 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, S, V) with U*a*V = S, S diagonal and s1 | s2 | ...
 
     U and V are unimodular (determinant +1 or -1) and the diagonal entries
-    of S are nonnegative, with the zero entries trailing.
+    of S are nonnegative, with the zero entries trailing.  The elimination
+    runs on one bordered matrix [[a, I], [I, 0]]: an operation on its first
+    ``rows`` rows acts on a and U together, one on its first ``cols``
+    columns acts on a and V together, and U, S and V are read off the blocks.
     """
     rows, cols = _dims(a)
-    m = [list(row) for row in a]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    b = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
+    b += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j, mirrored on U
-        mi, mj = m[i], m[j]
-        for k in range(cols):
-            mi[k] -= q * mj[k]
-        ui, uj = u[i], u[j]
-        for k in range(rows):
-            ui[k] -= q * uj[k]
+        # row_i -= q * row_j
+        bi = b[i]
+        for k, y in enumerate(b[j]):
+            bi[k] -= q * y
 
     def col_sub(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j, mirrored on V
-        for r in m:
+        # col_i -= q * col_j
+        for r in b:
             r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for r in m:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
 
     for t in range(min(rows, cols)):
         while True:
             best = None
             for i in range(t, rows):
                 for j in range(t, cols):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    if b[i][j] != 0 and (best is None or abs(b[i][j]) < abs(b[best[0]][best[1]])):
                         best = (i, j)
             if best is None:
                 break
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
-            p = m[t][t]
+            i, j = best
+            b[t], b[i] = b[i], b[t]
+            if j != t:
+                for r in b:
+                    r[t], r[j] = r[j], r[t]
+            p = b[t][t]
             dirty = False
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    row_sub(i, t, m[i][t] // p)
-                    if m[i][t] != 0:
+                if b[i][t] != 0:
+                    row_sub(i, t, b[i][t] // p)
+                    if b[i][t] != 0:
                         dirty = True
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    col_sub(j, t, m[t][j] // p)
-                    if m[t][j] != 0:
+                if b[t][j] != 0:
+                    col_sub(j, t, b[t][j] // p)
+                    if b[t][j] != 0:
                         dirty = True
             if dirty:
                 continue
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
-                    if m[i][j] % p != 0:
+                    if b[i][j] % p != 0:
                         offender = i
                         break
                 if offender is not None:
@@ -156,14 +144,12 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             # Pull the offending row into the pivot row; the next pass
             # produces a remainder strictly smaller than |p|.
             row_sub(t, offender, -1)
-        if t < rows and t < cols and m[t][t] < 0:
-            for k in range(cols):
-                m[t][k] = -m[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
 
-    to_matrix = lambda lst: tuple(tuple(row) for row in lst)
-    return to_matrix(u), to_matrix(m), to_matrix(v)
+    return (tuple(tuple(row[cols:]) for row in b[:rows]),
+            tuple(tuple(row[:cols]) for row in b[:rows]),
+            tuple(tuple(row[:cols]) for row in b[rows:]))
 
 
 def primitive(v: Vec) -> Vec:

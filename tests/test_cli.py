@@ -1,10 +1,11 @@
 """End-to-end tests for the command line front end and its file formats."""
 
+import functools
 import time
 
 import pytest
 
-from quasilines import cubic, divisors, fans, lattice
+from quasilines import cubic, divisors, fans, lattice, models
 from quasilines.cli import main, run
 from quasilines.report import parse, render
 
@@ -126,11 +127,19 @@ class TestLemmaA2:
         assert doc["samples-cartier"] == 100
         assert doc["all-ok"] is True
 
-    def test_n10_is_usage_error(self):
-        code, doc, text = structured(["lemma-a2", "--n", "10"])
+    def test_n11_run(self):
+        # appendix and lemma-a2 share one bound, MAX_QUOTIENT_N = 12.
+        code, doc, _ = structured(["lemma-a2", "--n", "11", "--samples", "20"])
+        assert code == 0
+        assert doc["refined-smooth"] is True
+        assert doc["samples-cartier"] == 20
+        assert doc["all-ok"] is True
+
+    def test_n13_is_usage_error(self):
+        code, doc, text = structured(["lemma-a2", "--n", "13"])
         assert code == 1
         assert doc["error"] == "usage"
-        assert "between 2 and 9" in text
+        assert "between 2 and 12" in text
 
 
 class TestBundle:
@@ -243,6 +252,24 @@ class TestModels:
         assert code == 0
         assert ("etilde", "=", 1) in doc["derived-fields"]
         assert ("g3", "=", False) in doc["derived-fields"]
+
+    @pytest.mark.parametrize("name,n,code", [
+        ("toric-quotient", "3", 0), ("pn-line", "4", 0), ("cubic-conic", "3", 1),
+    ])
+    def test_arity_seen_through_a_wrapper(self, monkeypatch, name, n, code):
+        # A tracer rebinds each builtin to a functools.wraps wrapper taking
+        # *args; --n must still apply exactly to the builders with a parameter.
+        builder = models.BUILTIN_RECORDS[name]
+
+        @functools.wraps(builder)
+        def wrapper(*args, **kwargs):
+            return builder(*args, **kwargs)
+
+        monkeypatch.setitem(models.BUILTIN_RECORDS, name, wrapper)
+        plain = run(["models", name, "--n", n])
+        monkeypatch.setitem(models.BUILTIN_RECORDS, name, builder)
+        assert plain == run(["models", name, "--n", n])
+        assert plain[0] == code
 
     def test_contradiction_from_file(self, tmp_path):
         record = tmp_path / "bad.txt"

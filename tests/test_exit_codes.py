@@ -102,10 +102,10 @@ GOLDEN = [
      _usage("--n must be between 2 and 12")),
     ("appendix-n-13", "appendix --n 13 --format structured", 0, 1,
      _usage("--n must be between 2 and 12")),
-    ("lemma-n-10", "lemma-a2 --n 10", 0, 1,
-     _usage("--n must be between 2 and 9 for the extension suite")),
+    ("lemma-n-13", "lemma-a2 --n 13", 0, 1,
+     _usage("--n must be between 2 and 12")),
     ("lemma-n-1", "lemma-a2 --n 1 --format structured", 0, 1,
-     _usage("--n must be between 2 and 9 for the extension suite")),
+     _usage("--n must be between 2 and 12")),
     ("lemma-bad-samples", "lemma-a2 --n 2 --samples 1.5", 0, 1,
      _usage("argument --samples: invalid int value: '1.5'")),
     ("lemma-negative-samples", "lemma-a2 --n 2 --samples -5", 0, 1,

@@ -1,0 +1,134 @@
+"""Metamorphic properties of the toric kernel: identities that need no oracle.
+
+A unimodular change of basis g in GL(n, Z) maps a fan to an isomorphic one
+(Fulton 1993, ch. 1), and adding <m, v_i> to every value translates the
+sections polyhedron by m (Cox, Little and Schenck 2011, section 4.3).  Both
+run on the quotient fans and their smooth refinements for n = 2..5, with -K
+(value -1 on every ray) and with seeded values in [-2, 1].  The image fans
+are built fresh, with their rays and cones reordered, so every kernel comes
+from an inversion or a facet-neighbour exchange step that starts from other
+cones than on the original fan.
+"""
+
+import random
+
+import pytest
+
+from quasilines.divisors import (
+    SupportFunction,
+    cartier_certificate,
+    count_lattice_points,
+    sections_polyhedron,
+)
+from quasilines.fans import (
+    _certifies_complete,
+    cone_multiplicity,
+    cyclic_quotient_fans,
+    desingularize,
+    is_smooth,
+    make_fan,
+    validate_fan,
+)
+from quasilines.lattice import mat_vec, rational_inverse, transpose
+
+NS = (2, 3, 4, 5)
+
+
+def fans_under_test(n):
+    """The quotient fan (multiplicity n + 1, not smooth) and its refinement,
+    each rebuilt with no stored kernel."""
+    quotient = cyclic_quotient_fans(n)[1]
+    refined = desingularize(quotient)
+    return [make_fan(fan.dim, fan.rays, fan.max_cones) for fan in (quotient, refined)]
+
+
+def value_vectors(fan, rng):
+    return [(-1,) * len(fan.rays)] + [
+        tuple(rng.randint(-2, 1) for _ in fan.rays) for _ in range(2)
+    ]
+
+
+def unimodular(rng, n):
+    """A seeded g in GL(n, Z): signed permutation times elementary row
+    operations."""
+    perm = rng.sample(range(n), n)
+    g = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        g[i] = [x + k * y for x, y in zip(g[i], g[j])]
+    return tuple(map(tuple, g))
+
+
+def transformed(fan, g, rng):
+    """g . fan with its rays and cones shuffled, and the ray order used:
+    image ray k is g times ray order[k]."""
+    order = rng.sample(range(len(fan.rays)), len(fan.rays))
+    where = {old: new for new, old in enumerate(order)}
+    cones = [tuple(where[i] for i in cone) for cone in fan.max_cones]
+    rng.shuffle(cones)
+    return make_fan(fan.dim, [mat_vec(g, fan.rays[i]) for i in order], cones), order
+
+
+def kernel_view(fan, values):
+    """Validity with the path that decided it, smoothness, the multiplicity
+    and Cartier dual of each cone keyed by its set of rays, and the sections
+    point list."""
+    psi = SupportFunction(fan, values)
+    report = validate_fan(fan)
+    certificate = cartier_certificate(psi)
+    key = lambda cone: frozenset(fan.rays[i] for i in cone)
+    duals = dict(zip(map(key, fan.max_cones), certificate.cone_duals or ()))
+    return {
+        "valid": (report.valid, report.violations, _certifies_complete(fan)),
+        "smooth": is_smooth(fan),
+        "multiplicities": {key(c): cone_multiplicity(fan, c) for c in fan.max_cones},
+        "cartier": certificate.cartier,
+        "duals": duals,
+        "points": count_lattice_points(sections_polyhedron(psi)).points,
+    }
+
+
+@pytest.mark.parametrize("n", NS)
+def test_unimodular_image_keeps_every_invariant(n):
+    rng = random.Random(100 + n)
+    for fan in fans_under_test(n):
+        for values in value_vectors(fan, rng):
+            base = kernel_view(fan, values)
+            assert base["valid"] == (True, (), True)
+            for _ in range(2):
+                g = unimodular(rng, n)
+                inv, d = rational_inverse(g)
+                assert d == 1
+                image, order = transformed(fan, g, rng)
+                seen = kernel_view(image, tuple(values[i] for i in order))
+                # Ray sets map by g, dual vectors and points by g^-T.
+                move = lambda rays: frozenset(mat_vec(g, ray) for ray in rays)
+                dual_map = transpose(inv)
+                assert seen["valid"] == base["valid"]
+                assert seen["smooth"] == base["smooth"]
+                assert seen["multiplicities"] == {
+                    move(k): m for k, m in base["multiplicities"].items()}
+                assert seen["cartier"] == base["cartier"]
+                assert seen["duals"] == {
+                    move(k): mat_vec(dual_map, m) for k, m in base["duals"].items()}
+                assert seen["points"] == tuple(sorted(
+                    mat_vec(dual_map, u) for u in base["points"]))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_linear_equivalence_translates_the_points(n):
+    rng = random.Random(200 + n)
+    for fan in fans_under_test(n):
+        for values in value_vectors(fan, rng):
+            base = kernel_view(fan, values)
+            m = tuple(rng.randint(-3, 3) for _ in range(n))
+            shifted = tuple(b + sum(x * y for x, y in zip(m, ray))
+                            for b, ray in zip(values, fan.rays))
+            seen = kernel_view(make_fan(fan.dim, fan.rays, fan.max_cones), shifted)
+            assert seen["cartier"] == base["cartier"]
+            assert seen["duals"] == {
+                k: tuple(x + y for x, y in zip(dual, m)) for k, dual in base["duals"].items()}
+            # Lexicographic order survives a translation.
+            assert seen["points"] == tuple(
+                tuple(x + y for x, y in zip(u, m)) for u in base["points"])
