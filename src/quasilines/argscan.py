@@ -14,8 +14,6 @@ reference, except for the two changes ``scan`` names.
 
 from __future__ import annotations
 
-import re
-
 from .errors import UsageError
 
 ONE, OPTIONAL, REST = "one", "optional", "rest"
@@ -24,6 +22,17 @@ _HELP = {"-h": None, "--help": None}
 
 def _choices(choices) -> str:
     return ", ".join(map(repr, choices))
+
+
+def _negative_number(arg: str) -> bool:
+    r"""Whether ``arg``, which begins with a dash, reads as a negative number
+    by the standard parser's pattern ``^-\d+$|^-\d*\.\d+$``: ``$`` also
+    matches before one final newline, and ``\d`` is what ``isdecimal``
+    accepts."""
+    whole, dot, fraction = arg[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (not whole or whole.isdecimal())
 
 
 def _classify(arg: str, flags: dict):
@@ -49,7 +58,7 @@ def _classify(arg: str, flags: dict):
                          + ", ".join(f for f, _ in matches))
     if matches:
         return matches[0]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+    if _negative_number(arg) or " " in arg:
         return None
     return None, None
 

@@ -11,9 +11,8 @@ by the preconditions, not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import QuasilinesError, UsageError
+from .frozen import Frozen
 
 
 class InvalidSplittingError(QuasilinesError, ValueError):
@@ -36,8 +35,7 @@ class PlanBudgetError(QuasilinesError):
     """A quasi-line plan needs more than ``PLAN_STEP_BUDGET`` blow-ups."""
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Frozen):
     exponents: tuple[int, ...]
 
     def __post_init__(self):
@@ -56,8 +54,7 @@ class SplittingType:
         return ",".join(str(a) for a in self.exponents)
 
 
-@dataclass(frozen=True)
-class DivisorData:
+class DivisorData(Frozen):
     """Numeric divisor data on an n-fold: d_y = D.Y, dim_d = dim |D|."""
 
     d_y: int
@@ -69,8 +66,7 @@ class DivisorData:
             raise UsageError("ambient dimension must be at least 2")
 
 
-@dataclass(frozen=True)
-class BlowupPlan:
+class BlowupPlan(Frozen):
     """Trajectory of splitting types; kinds[i] produced types[i+1]."""
 
     types: tuple[SplittingType, ...]
@@ -86,8 +82,7 @@ class BlowupPlan:
         return self.types[-1]
 
 
-@dataclass(frozen=True)
-class FibrationReduction:
+class FibrationReduction(Frozen):
     """Outcome of trading D.Y = d for d-1 point blow-ups."""
 
     reduced: SplittingType

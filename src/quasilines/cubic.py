@@ -25,13 +25,13 @@ failures trigger seeded resampling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .errors import QuasilinesError, UsageError
+from .frozen import Frozen
 
 
 class DimensionMismatchError(UsageError):
@@ -293,8 +293,7 @@ def sylvester_resultant(p: Poly, q: Poly, var: int) -> Poly:
     return _poly_determinant(matrix, p.nvars)
 
 
-@dataclass(frozen=True)
-class PencilExpansion:
+class PencilExpansion(Frozen):
     """Graded pieces of a cubic along the pencil of lines through a point.
 
     With the direction representative fixed (the coordinate where the base
@@ -309,8 +308,7 @@ class PencilExpansion:
     q3: Poly
 
 
-@dataclass(frozen=True)
-class LineCountReport:
+class LineCountReport(Frozen):
     count: int
     with_multiplicity: bool
     generic: bool
@@ -586,8 +584,7 @@ def reducible_demo_instance() -> tuple[Poly, tuple[int, ...]]:
     return x1 * quadric, BASE_POINT
 
 
-@dataclass(frozen=True)
-class ConicCountCertificate:
+class ConicCountCertificate(Frozen):
     """Certified conic invariant e for a seeded cubic threefold sample."""
 
     seed: int

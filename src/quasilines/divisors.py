@@ -12,7 +12,6 @@ error, since an infinite count is meaningless.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QuasilinesError, UsageError
@@ -25,6 +24,7 @@ from .fans import (
     is_smooth,
     is_toric_morphism,
 )
+from .frozen import Frozen
 from .lattice import (
     FracVec,
     Vec,
@@ -61,8 +61,7 @@ class LatticePointBudgetError(QuasilinesError):
     or scans more than ``LATTICE_SCAN_BUDGET`` values."""
 
 
-@dataclass(frozen=True)
-class SupportFunction:
+class SupportFunction(Frozen):
     """One integer value per ray of the fan, value(v_i) = -a_i."""
 
     fan: Fan
@@ -73,8 +72,7 @@ class SupportFunction:
             raise ValueError("one value per ray is required")
 
 
-@dataclass(frozen=True)
-class CartierCertificate:
+class CartierCertificate(Frozen):
     """Per-cone integral dual vectors, or the first failing cone with its
     rational-only solution as witness."""
 
@@ -98,16 +96,14 @@ class CartierCertificate:
         raise ValueError(f"{point} lies outside the support of the fan")
 
 
-@dataclass(frozen=True)
-class SectionsPolyhedron:
+class SectionsPolyhedron(Frozen):
     """Integer inequality system <u, normal> >= rhs, normals the fan rays."""
 
     dim: int
     constraints: tuple[tuple[Vec, int], ...]
 
 
-@dataclass(frozen=True)
-class LatticePointCount:
+class LatticePointCount(Frozen):
     count: int
     points: tuple[Vec, ...]
 
@@ -258,8 +254,7 @@ def quotient_hyperplane_support(fan: Fan) -> SupportFunction:
     return SupportFunction(fan, values)
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(Frozen):
     """Outcome of sampling integral extensions of a support function to a
     refinement of its fan.
 

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from math import prod
 from operator import mul
 
 from .errors import QuasilinesError, UsageError
+from .frozen import Frozen
 from .lattice import (
     InfiniteIndexError,
     Matrix,
@@ -88,8 +88,7 @@ class FanPairBudgetError(QuasilinesError):
     tests."""
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
     """Primitive ray generators plus maximal cones as sorted index tuples.
 
     The fan stores each cone kernel it computes, keyed by the cone, for its
@@ -99,14 +98,17 @@ class Fan:
     miss on a full-dimensional cone or the first completeness certificate,
     and both read it; a fan that ``stellar_subdivide`` or ``desingularize``
     returns holds every kernel, so it builds the table only if validated.
-    Neither store nor table is built from, shown or compared.
+    Store and table are set at construction, and are not fields: neither is
+    built from, shown or compared.
     """
 
     dim: int
     rays: tuple[Vec, ...]
     max_cones: tuple[Cone, ...]
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _facets: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_kernels", {})
+        object.__setattr__(self, "_facets", None)
 
     def kernel(self, cone: Cone) -> tuple[Matrix, int]:
         """Integer kernel (N, d) of a cone of any dimension (see
@@ -198,8 +200,7 @@ def _integer_kernel(rays, dim: int) -> tuple[Matrix, int]:
     return inv, d
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
     valid: bool
     violations: tuple[str, ...]
 

@@ -14,12 +14,12 @@ elimination routine, shared by fan validation and lattice-point counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from .errors import QuasilinesError
+from .frozen import Frozen
 
 Vec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -162,8 +162,7 @@ def primitive(v: Vec) -> Vec:
     return tuple(x // g for x in v)
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Frozen):
     """Exact solution of A x = b; ``unique`` means A had full column rank."""
 
     x: FracVec

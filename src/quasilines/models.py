@@ -29,16 +29,14 @@ Rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import UsageError
+from .frozen import Frozen
 
 INT_FIELDS = ("dim", "e", "e0", "etilde", "b", "ex")
 FLAG_FIELDS = ("g3", "rational", "unirational", "strongly_rational")
 
 
-@dataclass(frozen=True)
-class ModelRecord:
+class ModelRecord(Frozen):
     name: str
     dim: int | None = None
     e: int | None = None
@@ -67,22 +65,19 @@ class ModelRecord:
         return known
 
 
-@dataclass(frozen=True)
-class RuleFiring:
+class RuleFiring(Frozen):
     rule: str
     inputs: tuple[str, ...]
     derived: str
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(Frozen):
     rule: str
     fields: tuple[str, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(Frozen):
     record: ModelRecord
     firings: tuple[RuleFiring, ...]
     contradiction: Contradiction | None
@@ -124,8 +119,7 @@ class _Engine:
         current = self.get(name)
         if current is None:
             note = f"derived by {rule}"
-            self.record = replace(
-                self.record,
+            self.record = self.record.replace(
                 **{name: value},
                 provenance=self.record.provenance + ((name, note),),
             )

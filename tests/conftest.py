@@ -1,6 +1,7 @@
 """Shared oracles for the test suite."""
 
 import argparse
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -548,6 +549,19 @@ def fan_file_parser():
 
     fan._match_arguments_partial = pending_fan_file
     return parser
+
+
+def dataclass_twin(cls):
+    """A ``dataclass(frozen=True)`` with the name, fields, defaults and
+    ``__post_init__`` of the value class ``cls``: the reference for the
+    methods ``quasilines.frozen.Frozen`` derives."""
+    own = vars(cls)
+    namespace = {"__annotations__": dict(cls.__annotations__),
+                 "__qualname__": cls.__qualname__, "__module__": cls.__module__}
+    namespace.update((name, own[name]) for name in cls.__annotations__ if name in own)
+    if "__post_init__" in own:
+        namespace["__post_init__"] = own["__post_init__"]
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
 
 
 @pytest.fixture

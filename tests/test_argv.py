@@ -10,18 +10,19 @@ text ``--``.
 
 import contextlib
 import io
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasilines
 from conftest import build_parser, fan_file_parser
-from quasilines import cli
+from quasilines import argscan, cli
 from quasilines.cli import help_text, main, parse_args, run
 from quasilines.errors import UsageError
 
@@ -247,9 +248,29 @@ class TestHelp:
 
 
 def test_import_loads_no_argparse():
+    # Nor dataclasses and the modules it imports: the value classes derive
+    # their methods from quasilines.frozen.
     src = str(Path(quasilines.__file__).parents[1])
+    unwanted = {"argparse", "gettext", "dataclasses", "inspect", "ast", "dis", "tokenize"}
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import quasilines.cli; "
-            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+            f"print(sorted({unwanted!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(st.sampled_from("-.0179\n a\u0663\u00b2\u0b66"), max_size=6))
+@example("3\n")
+@example("3\n\n")
+@example("1..2")
+@example(".")
+@example("\u0663.\u0b66")
+@example("\u00b2")
+def test_negative_number_is_the_parser_pattern(tail):
+    # \d is Unicode category Nd (the Arabic-Indic three and the Oriya zero
+    # here, but not the superscript two), and $ also matches before one
+    # final newline.
+    arg = "-" + tail
+    expected = re.match(r"^-\d+$|^-\d*\.\d+$", arg) is not None
+    assert argscan._negative_number(arg) == expected, arg

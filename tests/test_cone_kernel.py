@@ -18,7 +18,7 @@ from conftest import (
     invariant_factors,
     smith_index,
 )
-from quasilines import cli, divisors, fans, lattice, models
+from quasilines import argscan, cli, divisors, fans, lattice, models
 from quasilines.cubic import Poly
 from quasilines.divisors import SupportFunction, _integral_cone_solution, cartier_certificate
 from quasilines.fans import (
@@ -536,5 +536,7 @@ def test_deleted_names_stay_gone():
         (cli, "MAX_LEMMA_N"),
         # A builtin record's arity is read from its code object.
         (cli, "inspect"),
+        # Negative numbers are read by isdecimal checks (argscan._negative_number).
+        (argscan, "re"),
     ]:
         assert not hasattr(module, name), name
