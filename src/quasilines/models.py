@@ -25,6 +25,16 @@ Rules:
   R8   ex = 1 implies rational
   R9   rational implies unirational
   R10  rational implies ex = 1
+
+The rules run in passes, in the order R3, R2, R1, R4, ..., R10, until a
+pass derives nothing.  Each rule is a generator over the record it is
+given: it yields (inputs, field, value) to derive a field, or (fields,
+detail) for a contradiction among known fields.  R2 reads one snapshot, the
+record as it was when R2 started, even after its own first steps are
+applied; each of R4-R10 is given the record as it is when it runs, so an
+implication sees what an earlier rule of the same pass derived.
+``propagate`` alone applies the steps, and the first contradiction stops
+the run.
 """
 
 from __future__ import annotations
@@ -87,18 +97,6 @@ class PropagationResult(Frozen):
         return self.contradiction is None
 
 
-# R4-R10 in firing order: (rule, premise field, premise value, derived field, value).
-_IMPLICATIONS = (
-    ("R4", "e", 1, "rational", True),
-    ("R5", "e0", 1, "unirational", True),
-    ("R6", "e", 1, "g3", True),
-    ("R7", "strongly_rational", True, "rational", True),
-    ("R8", "ex", 1, "rational", True),
-    ("R9", "rational", True, "unirational", True),
-    ("R10", "rational", True, "ex", 1),
-)
-
-
 def _shown(value) -> str:
     """A field value as reports print it: flags as true and false."""
     if isinstance(value, bool):
@@ -106,118 +104,108 @@ def _shown(value) -> str:
     return str(value)
 
 
-class _Engine:
-    def __init__(self, record: ModelRecord):
-        self.record = record
-        self.firings: list[RuleFiring] = []
-        self.contradiction: Contradiction | None = None
+def _r1(record):
+    e, etilde, b = record.e, record.etilde, record.b
+    if e is not None and etilde is not None and b is not None:
+        if e != etilde * b:
+            yield ("e", "etilde", "b"), f"e = {e} but etilde * b = {etilde * b}"
+    elif etilde is not None and b is not None:
+        yield ("etilde", "b"), "e", etilde * b
+    elif e is not None:
+        # At most one factor is known here; the other is the quotient.
+        for known, factor, other in (("etilde", etilde, "b"), ("b", b, "etilde")):
+            if factor is not None and e % factor:
+                yield ("e", known), (f"{known} = {factor} does not divide e = {e} "
+                                     "with integer quotient")
+            elif factor is not None:
+                yield ("e", known), other, e // factor
 
-    def get(self, name):
-        return getattr(self.record, name)
 
-    def set(self, rule: str, inputs: tuple[str, ...], name: str, value) -> bool:
-        current = self.get(name)
-        if current is None:
-            note = f"derived by {rule}"
-            self.record = self.record.replace(
-                **{name: value},
-                provenance=self.record.provenance + ((name, note),),
-            )
-            self.firings.append(RuleFiring(rule, inputs, f"{name} = {_shown(value)}"))
-            return True
-        if current != value:
-            self.contradiction = Contradiction(
-                rule,
-                inputs + (name,),
-                f"{name} = {_shown(current)} conflicts with derived {name} = {_shown(value)}",
-            )
-            self.firings.append(RuleFiring(rule, inputs, "contradiction"))
-        return False
+def _r2(record):
+    e, e0, etilde = record.e, record.e0, record.etilde
+    for low, high in (("e0", "etilde"), ("etilde", "e"), ("e0", "e")):
+        below, above = getattr(record, low), getattr(record, high)
+        if below is not None and above is not None and below > above:
+            yield (low, high), f"{low} = {below} exceeds {high} = {above}"
+    if e == 1:
+        yield ("e",), "etilde", 1
+        yield ("e",), "e0", 1
+    if etilde == 1:
+        yield ("etilde",), "e0", 1
+    if e0 is not None and e0 == e:
+        yield ("e0", "e"), "etilde", e0
 
-    def fail(self, rule: str, fields: tuple[str, ...], detail: str) -> None:
-        self.contradiction = Contradiction(rule, fields, detail)
-        self.firings.append(RuleFiring(rule, fields, "contradiction"))
 
-    def run(self) -> PropagationResult:
-        changed = True
-        while changed and self.contradiction is None:
-            changed = False
-            # R3 and R2 run before R1 so that a violated biconditional or
-            # ordering is witnessed as such, not as a divisibility failure.
-            for rule in (self._r3, self._r2, self._r1, self._implications):
-                changed = rule() or changed
-                if self.contradiction is not None:
-                    break
-        return PropagationResult(self.record, tuple(self.firings), self.contradiction)
+def _r3(record):
+    e, etilde, g3 = record.e, record.etilde, record.g3
+    if e is not None and etilde is not None:
+        yield ("etilde", "e"), "g3", etilde == e
+    elif g3 is True and e is not None:
+        yield ("g3", "e"), "etilde", e
+    elif g3 is True and etilde is not None:
+        yield ("g3", "etilde"), "e", etilde
 
-    def _r1(self) -> bool:
-        e, etilde, b = self.get("e"), self.get("etilde"), self.get("b")
-        if e is not None and etilde is not None and b is not None:
-            if e != etilde * b:
-                self.fail("R1", ("e", "etilde", "b"),
-                          f"e = {e} but etilde * b = {etilde * b}")
-            return False
-        if etilde is not None and b is not None:
-            return self.set("R1", ("etilde", "b"), "e", etilde * b)
-        if e is not None and etilde is not None:
-            if e % etilde != 0 or e < etilde:
-                self.fail("R1", ("e", "etilde"),
-                          f"etilde = {etilde} does not divide e = {e} with integer quotient")
-                return False
-            return self.set("R1", ("e", "etilde"), "b", e // etilde)
-        if e is not None and b is not None:
-            if e % b != 0 or e < b:
-                self.fail("R1", ("e", "b"),
-                          f"b = {b} does not divide e = {e} with integer quotient")
-                return False
-            return self.set("R1", ("e", "b"), "etilde", e // b)
-        return False
 
-    def _r2(self) -> bool:
-        e, e0, etilde = self.get("e"), self.get("e0"), self.get("etilde")
-        if e0 is not None and etilde is not None and e0 > etilde:
-            self.fail("R2", ("e0", "etilde"), f"e0 = {e0} exceeds etilde = {etilde}")
-            return False
-        if etilde is not None and e is not None and etilde > e:
-            self.fail("R2", ("etilde", "e"), f"etilde = {etilde} exceeds e = {e}")
-            return False
-        if e0 is not None and e is not None and e0 > e:
-            self.fail("R2", ("e0", "e"), f"e0 = {e0} exceeds e = {e}")
-            return False
-        changed = False
-        if e == 1:
-            changed = self.set("R2", ("e",), "etilde", 1) or changed
-            if self.contradiction is None:
-                changed = self.set("R2", ("e",), "e0", 1) or changed
-        if self.contradiction is None and etilde == 1:
-            changed = self.set("R2", ("etilde",), "e0", 1) or changed
-        if self.contradiction is None and e0 is not None and e is not None and e0 == e:
-            changed = self.set("R2", ("e0", "e"), "etilde", e0) or changed
-        return changed
+def _implies(premise, value, name, derived):
+    def steps(record):
+        if getattr(record, premise) == value:
+            yield (premise,), name, derived
+    return steps
 
-    def _r3(self) -> bool:
-        e, etilde, g3 = self.get("e"), self.get("etilde"), self.get("g3")
-        if e is not None and etilde is not None:
-            return self.set("R3", ("etilde", "e"), "g3", etilde == e)
-        if g3 is True and e is not None:
-            return self.set("R3", ("g3", "e"), "etilde", e)
-        if g3 is True and etilde is not None:
-            return self.set("R3", ("g3", "etilde"), "e", etilde)
-        return False
 
-    def _implications(self) -> bool:
-        changed = False
-        for rule, premise, value, name, derived in _IMPLICATIONS:
-            if self.get(premise) == value:
-                changed = self.set(rule, (premise,), name, derived) or changed
-                if self.contradiction is not None:
-                    break
-        return changed
+# Rules in firing order.  R3 and R2 run before R1 so that a violated
+# biconditional or ordering is witnessed as such, not as a divisibility
+# failure.
+_RULES = (
+    ("R3", _r3),
+    ("R2", _r2),
+    ("R1", _r1),
+    ("R4", _implies("e", 1, "rational", True)),
+    ("R5", _implies("e0", 1, "unirational", True)),
+    ("R6", _implies("e", 1, "g3", True)),
+    ("R7", _implies("strongly_rational", True, "rational", True)),
+    ("R8", _implies("ex", 1, "rational", True)),
+    ("R9", _implies("rational", True, "unirational", True)),
+    ("R10", _implies("rational", True, "ex", 1)),
+)
 
 
 def propagate(record: ModelRecord) -> PropagationResult:
-    """Run the rules to a fixed point; derivation order is deterministic."""
-    return _Engine(record).run()
+    """Run the rules to a fixed point; derivation order is deterministic.
+
+    This is the one place a step is applied: a step derives its field when
+    the field is unset, is skipped when the field already holds its value,
+    and otherwise ends the run with a contradiction.
+    """
+    firings = []
+    changed = True
+    while changed:
+        changed = False
+        for rule, steps in _RULES:
+            for step in steps(record):
+                if len(step) == 2:
+                    inputs, detail = step
+                    fields = inputs
+                else:
+                    inputs, name, value = step
+                    current = getattr(record, name)
+                    if current is None:
+                        record = record.replace(
+                            **{name: value},
+                            provenance=record.provenance + ((name, f"derived by {rule}"),),
+                        )
+                        firings.append(RuleFiring(rule, inputs, f"{name} = {_shown(value)}"))
+                        changed = True
+                        continue
+                    if current == value:
+                        continue
+                    fields = inputs + (name,)
+                    detail = (f"{name} = {_shown(current)} conflicts with "
+                              f"derived {name} = {_shown(value)}")
+                firings.append(RuleFiring(rule, inputs, "contradiction"))
+                return PropagationResult(record, tuple(firings),
+                                         Contradiction(rule, fields, detail))
+    return PropagationResult(record, tuple(firings), None)
 
 
 def projective_space_record(n: int | None = None) -> ModelRecord:

@@ -518,6 +518,9 @@ def test_deleted_names_stay_gone():
         (lattice, "sublattice_index"),
         (models, "check_record"),
         (models, "ConsistencyReport"),
+        # One rule table; propagate is the one loop that applies its steps.
+        (models, "_Engine"),
+        (models, "_IMPLICATIONS"),
         (quasilines, "sublattice_index"),
         (quasilines, "check_record"),
         # The class of an error decides its exit code (quasilines.errors).

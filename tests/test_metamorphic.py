@@ -8,6 +8,12 @@ run on the quotient fans and their smooth refinements for n = 2..5, with -K
 are built fresh, with their rays and cones reordered, so every kernel comes
 from an inversion or a facet-neighbour exchange step that starts from other
 cones than on the original fan.
+
+On the quotient fans n = 2..4, D = (n + 1) times the hyperplane image is
+Cartier, and its pullback to the smooth refinement counts the same sections
+for every multiple kD.  For k = 0..n + 1 the count is a polynomial of degree
+at most n in k (Ehrhart; Cox, Little and Schenck 2011, section 9.4), so its
+(n + 1)-th forward difference is 0.
 """
 
 import random
@@ -18,6 +24,9 @@ from quasilines.divisors import (
     SupportFunction,
     cartier_certificate,
     count_lattice_points,
+    h0,
+    pullback,
+    quotient_hyperplane_support,
     sections_polyhedron,
 )
 from quasilines.fans import (
@@ -132,3 +141,32 @@ def test_linear_equivalence_translates_the_points(n):
             # Lexicographic order survives a translation.
             assert seen["points"] == tuple(
                 tuple(x + y for x, y in zip(u, m)) for u in base["points"])
+
+
+# h0(kD) for k = 0..n + 1; at n = 5 the count for k = 6 is over the
+# lattice-point budget.
+EHRHART_COUNTS = {
+    2: (1, 4, 10, 19),
+    3: (1, 10, 43, 116, 245),
+    4: (1, 26, 201, 776, 2126, 4751),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EHRHART_COUNTS))
+def test_pullback_keeps_the_ehrhart_counts(n):
+    quotient = cyclic_quotient_fans(n)[1]
+    hyperplane = quotient_hyperplane_support(quotient)
+    divisor = SupportFunction(quotient, tuple((n + 1) * v for v in hyperplane.values))
+    assert cartier_certificate(divisor).cartier
+    refined = desingularize(quotient)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    pulled = pullback(divisor, identity, refined)
+    counts = []
+    for k in range(n + 2):
+        count = h0(SupportFunction(quotient, tuple(k * v for v in divisor.values)))
+        assert h0(SupportFunction(refined, tuple(k * v for v in pulled.values))) == count
+        counts.append(count)
+    assert tuple(counts) == EHRHART_COUNTS[n]
+    for _ in range(n + 1):
+        counts = [b - a for a, b in zip(counts, counts[1:])]
+    assert counts == [0]

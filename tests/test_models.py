@@ -1,5 +1,7 @@
 """Tests for the invariant rule engine and its catalog."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -48,6 +50,38 @@ class TestPropagate:
         result = propagate(ModelRecord(name="bad", **fields))
         assert result.contradiction == Contradiction(rule, inputs, detail)
         assert result.firings[-1] == RuleFiring(rule, inputs, "contradiction")
+
+    @pytest.mark.parametrize("fields,rule,witness,detail", [
+        ({"g3": True, "etilde": 2, "e": 3}, "R3", ("etilde", "e", "g3"),
+         "g3 = true conflicts with derived g3 = false"),
+        ({"rational": True, "ex": 2}, "R10", ("rational", "ex"),
+         "ex = 2 conflicts with derived ex = 1"),
+        # R5 reads the e0 = 1 that R2 derived from e = 1 earlier in the pass.
+        ({"e": 1, "unirational": False}, "R5", ("e0", "unirational"),
+         "unirational = false conflicts with derived unirational = true"),
+    ], ids=["r3-g3", "r10-ex", "r5-derived-e0"])
+    def test_set_field_conflict_witness(self, fields, rule, witness, detail):
+        # The contradiction names the conflicting field; the firing keeps
+        # only the rule's inputs.
+        result = propagate(ModelRecord(name="bad", **fields))
+        assert result.contradiction == Contradiction(rule, witness, detail)
+        assert result.firings[-1] == RuleFiring(rule, witness[:-1], "contradiction")
+
+    def test_propagate_digest(self):
+        # Pins record, provenance, firings and contradiction of every
+        # record over a small grid of values, in a fixed order.
+        ints = (None, 1, 2, 3, 6)
+        flags = (None, True, False)
+        digest = hashlib.sha256()
+        for e, e0, etilde, b in itertools.product(ints, repeat=4):
+            for ex in (None, 1, 2):
+                for g3, rational, unirational in itertools.product(flags, repeat=3):
+                    for strongly in (None, True):
+                        record = ModelRecord("r", None, e, e0, etilde, b, ex,
+                                             g3, rational, unirational, strongly)
+                        digest.update(repr(propagate(record)).encode())
+        assert digest.hexdigest() == (
+            "025522996a50ffbde7f517a0b7650023da35d0f4026f95a9abed2789f4c37242")
 
     def test_r1_divisibility_contradiction(self):
         result = propagate(ModelRecord(name="bad", e=3, b=2))
