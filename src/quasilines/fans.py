@@ -3,9 +3,11 @@
 Only simplicial fans are supported; every cone is stored as a sorted tuple of
 ray indices.  Membership, Cartier and scoring questions on a cone of any
 dimension read signs, or divisibility by d, off its integer kernel (N, d),
-and d is its multiplicity; mod d, the columns of N generate a group whose
-elements are the lattice points of the cone's half-open box.  The Smith
-normal form only gives the first kernel of a lower-dimensional cone.
+and d is its multiplicity.  Membership needs no row of N for a ray of the
+cone, and in a full-dimensional cone stops at the first row negative on
+the point.  Mod d, the columns of N generate a group whose elements are
+the lattice points of the cone's half-open box.  The Smith normal form
+only gives the first kernel of a lower-dimensional cone.
 Validation accepts a complete fan of full-dimensional cones by a
 facet-pairing certificate on the same kernels; any other fan is decided by a
 Fourier-Motzkin test per pair of cones.  Cones of a valid fan meet face to
@@ -219,6 +221,11 @@ def _sharing_kernels(fan: Fan, kernels: dict) -> Fan:
     return fan
 
 
+def _check_length(fan: Fan, point) -> None:
+    if len(point) != fan.dim:
+        raise ValueError(f"point of length {len(point)} in a fan of dimension {fan.dim}")
+
+
 def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
     """Coordinates of ``point`` in the ray basis of ``cone`` times the cone's
     multiplicity d, or None off the cone's linear span.
@@ -229,8 +236,7 @@ def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
     lower-dimensional cone first checks that the point lies in its span,
     R^T (N * point) = d * point.
     """
-    if len(point) != fan.dim:
-        raise ValueError(f"point of length {len(point)} in a fan of dimension {fan.dim}")
+    _check_length(fan, point)
     inv, d = fan.kernel(cone)
     coords = _row_products(inv, point)
     if len(cone) < fan.dim and any(
@@ -242,8 +248,23 @@ def cone_coordinates(fan: Fan, cone: Cone, point) -> Vec | None:
 
 
 def cone_contains(fan: Fan, cone: Cone, point) -> bool:
-    coords = cone_coordinates(fan, cone, point)
-    return coords is not None and all(c >= 0 for c in coords)
+    """Whether ``point`` lies in the closed cone, read off its kernel (N, d).
+
+    The kernel is read first, so dependent rays raise ``InfiniteIndexError``
+    at any point.  A ray of the cone lies in it, since N ray_j = d e_j.  In
+    a full-dimensional cone the point lies in it exactly when every row of
+    N is nonnegative on it, and the rows are read until the first negative
+    one.  Any other point of a smaller cone takes ``cone_coordinates``,
+    which tests the span.
+    """
+    _check_length(fan, point)
+    inv, _ = fan.kernel(cone)
+    if point in map(fan.rays.__getitem__, cone):
+        return True
+    if len(cone) < fan.dim:
+        coords = cone_coordinates(fan, cone, point)
+        return coords is not None and all(c >= 0 for c in coords)
+    return all(sum(map(mul, row, point)) >= 0 for row in inv)
 
 
 def cone_multiplicity(fan: Fan, cone: Cone) -> int:
@@ -452,7 +473,8 @@ def _exchange_kernel(kernel, cone: Cone, coords, pos: int, w_index: int, child: 
     entry is a minor, so each division is exact.  The child's multiplicity
     is d' = |c|; when c < 0 every row is negated, which the step does by
     negating N_pos and c, so that N' R'^T = d' I.  The rows follow the
-    order of ``child``.
+    order of ``child``.  Row i is N_i itself when c_i = 0 and c = d, as
+    between neighbouring smooth cones, and is then kept as it is.
     """
     inv, d = kernel
     c, pivot = coords[pos], inv[pos]
@@ -461,7 +483,9 @@ def _exchange_kernel(kernel, cone: Cone, coords, pos: int, w_index: int, child: 
     rows = {w_index: pivot}
     for i, row, ci in zip(cone, inv, coords):
         if i != cone[pos]:
-            rows[i] = tuple([(c * x - ci * y) // d for x, y in zip(row, pivot)])
+            rows[i] = row if not ci and c == d else tuple(
+                [(c * x - ci * y) // d for x, y in zip(row, pivot)]
+            )
     return tuple(rows[i] for i in child), c
 
 
@@ -597,11 +621,15 @@ def is_toric_morphism(hom: LatticeHom, src: Fan, dst: Fan) -> bool:
     A cone maps into a cone exactly when the images of its rays lie there.
     So each source ray is mapped once, the set of ``dst`` cones that contain
     each distinct image is computed once, and a source cone maps into the
-    fan exactly when the sets of its rays' images share a cone.  Neither fan
-    needs to be valid, but every ``dst`` cone is tested, so one with
-    dependent rays, of any dimension, raises ``InfiniteIndexError`` whatever
-    the cone order: it gives a point no unique coordinates whose signs could
-    decide membership.
+    fan exactly when the sets of its rays' images share a cone.  Each test
+    is ``cone_contains``: an image that is a ray of the cone is in it
+    without arithmetic, as every image is under the inclusion of
+    ``cyclic_quotient_fans``, and any other image of a full-dimensional cone
+    is read row by row up to the first negative row, so no coordinate
+    vector is built there.  Neither fan needs to be valid, but every
+    ``dst`` cone is tested, so one with dependent rays, of any dimension,
+    raises ``InfiniteIndexError`` whatever the cone order: it gives a point
+    no unique coordinates whose signs could decide membership.
     """
     if len(hom) != dst.dim or any(len(row) != src.dim for row in hom):
         raise ValueError("lattice hom dimensions do not match the fans")

@@ -201,7 +201,9 @@ def rational_inverse(a: Matrix) -> tuple[Matrix, int]:
     N is an integer matrix and d = |det a| > 0 with a N = d I, so the
     inverse is N / d.  Computed by fraction-free Gauss-Jordan elimination
     (Bareiss 1968) on [a | I]: after the step on column k every entry is a
-    minor of order k + 1, so each division is exact.  Raises
+    minor of order k + 1, so each division is exact.  A row that is 0 in
+    the pivot column becomes (p x) / prev, itself when the pivot p equals
+    the last one, prev; such rows are left as they are.  Raises
     ``InfiniteIndexError("matrix is singular")`` when det a = 0: the columns
     then span a sublattice of infinite index.
     """
@@ -218,8 +220,8 @@ def rational_inverse(a: Matrix) -> tuple[Matrix, int]:
         m[k], m[pivot] = m[pivot], m[k]
         pk, p = m[k], m[k][k]
         for i in range(n):
-            if i != k:
-                f = m[i][k]
+            f = m[i][k]
+            if i != k and (f or p != prev):
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pk)]
         prev = p
     sign = 1 if prev > 0 else -1

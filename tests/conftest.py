@@ -43,6 +43,7 @@ from quasilines.lattice import (
     mat_vec,
     primitive,
     smith_normal_form,
+    transpose,
 )
 from quasilines.models import BUILTIN_RECORDS
 
@@ -458,15 +459,29 @@ def scan_desingularize(fan):
         current = stellar_subdivide(current, best_w)
 
 
+def solve_cone_contains(fan, cone, point):
+    """Reference for ``fans.cone_contains``: the signs of the point's
+    coordinates in the cone's rays by ``gauss_jordan_solve``, with no
+    kernel and no shortcut for the rays.  Dependent rays raise
+    ``InfiniteIndexError`` at every point, as the kernel does."""
+    columns = transpose([fan.rays[i] for i in cone])
+    if not gauss_jordan_solve(columns, (0,) * fan.dim).unique:
+        raise InfiniteIndexError("cone generators are linearly dependent")
+    try:
+        return all(x >= 0 for x in gauss_jordan_solve(columns, point).x)
+    except NoSolutionError:
+        return False
+
+
 def scan_is_toric_morphism(hom, src, dst):
     """Reference for ``fans.is_toric_morphism``: one membership test per
-    (source cone, target cone, image ray)."""
+    (source cone, target cone, image ray), each by ``solve_cone_contains``."""
     if len(hom) != dst.dim or any(len(row) != src.dim for row in hom):
         raise ValueError("lattice hom dimensions do not match the fans")
     for cone in src.max_cones:
         images = [mat_vec(hom, src.rays[i]) for i in cone]
         if not any(
-            all(cone_contains(dst, candidate, img) for img in images)
+            all(solve_cone_contains(dst, candidate, img) for img in images)
             for candidate in dst.max_cones
         ):
             return False

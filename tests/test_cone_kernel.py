@@ -17,6 +17,7 @@ from conftest import (
     gauss_jordan_solve,
     invariant_factors,
     smith_index,
+    solve_cone_contains,
 )
 from quasilines import argscan, cli, divisors, fans, lattice, models
 from quasilines.cubic import Poly
@@ -93,19 +94,78 @@ def full_dimensional_fans(draw):
     return SupportFunction(Fan(dim, rays, cones), values)
 
 
+@st.composite
+def sparse_matrices(draw):
+    """A square integer matrix of size 2-8 with at least half of its entries
+    0 and some unit columns, as the cones of the quotient fans have.  Its
+    entries on a random permutation are nonzero, which keeps most draws
+    nonsingular.  Their fraction-free steps meet many rows that are 0 in
+    the pivot column."""
+    n = draw(st.integers(2, 8))
+    column_of = draw(st.permutations(range(n)))
+    nonzero = st.sampled_from([x for x in range(-6, 7) if x])
+    a = [[draw(nonzero) if j == column_of[i] else 0 for j in range(n)] for i in range(n)]
+    others = [(i, j) for i in range(n) for j in range(n) if j != column_of[i]]
+    for i, j in draw(st.permutations(others))[:n * n // 2 - n]:
+        a[i][j] = draw(st.integers(-6, 6))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in range(n):
+            a[row][column_of[i]] = int(row == i)
+    return tuple(map(tuple, a))
+
+
+def first_quotient_cones():
+    return [
+        transpose([fan.rays[i] for i in fan.max_cones[0]])
+        for n in range(2, 13) for fan in cyclic_quotient_fans(n)[:2]
+    ]
+
+
 class TestRationalInverse:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 6).flatmap(square_matrices))
-    def test_kernel_identity(self, a):
-        det = determinant(a)
-        assume(det != 0)
+    @staticmethod
+    def assert_kernel_identity(a):
         inv, d = rational_inverse(a)
         n = len(a)
-        assert d == abs(det)
+        assert d == abs(determinant(a))
         assert all(type(x) is int for row in inv for x in row)
         for i in range(n):
             for j in range(n):
                 assert sum(a[i][k] * inv[k][j] for k in range(n)) == d * (i == j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(square_matrices))
+    def test_kernel_identity(self, a):
+        assume(determinant(a) != 0)
+        self.assert_kernel_identity(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_kernel_identity_on_sparse_matrices(self, a):
+        # A row that is 0 in the pivot column is kept only while the pivot
+        # equals the last one; these matrices reach both cases.
+        assume(determinant(a) != 0)
+        self.assert_kernel_identity(a)
+
+    @pytest.mark.parametrize("a", first_quotient_cones())
+    def test_kernel_identity_on_the_first_quotient_cones(self, a):
+        self.assert_kernel_identity(a)
+
+
+@st.composite
+def points_from_rays(draw):
+    """A ``simplicial_cones`` cone and a point made of its own rays: a ray,
+    its negative, or a sum of rays with signs."""
+    fan, _ = draw(simplicial_cones())
+    rays = fan.rays
+    kind = draw(st.sampled_from(("ray", "negative", "sum")))
+    if kind == "sum":
+        signs = draw(st.lists(st.sampled_from((-1, 0, 1, 1)), min_size=len(rays),
+                              max_size=len(rays)))
+    else:
+        signs = [0] * len(rays)
+        signs[draw(st.integers(0, len(rays) - 1))] = 1 if kind == "ray" else -1
+    point = tuple(sum(s * ray[j] for s, ray in zip(signs, rays)) for j in range(fan.dim))
+    return fan, point
 
 
 class TestConeMembership:
@@ -128,6 +188,43 @@ class TestConeMembership:
         assert cone_contains(fan, cone, point) == all(x >= 0 for x in expected)
         if all(type(x) is int for x in point):
             assert all(type(c) is int for c in coords)
+
+    @settings(max_examples=400, deadline=None)
+    @given(points_from_rays())
+    def test_points_from_the_rays_match_the_oracle(self, case):
+        # A ray is in its cone without arithmetic, and a full-dimensional
+        # cone reads rows up to the first negative one: the Fraction solve
+        # shares neither shortcut.
+        fan, point = case
+        cone = fan.max_cones[0]
+        assert cone_contains(fan, cone, point) == solve_cone_contains(fan, cone, point)
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_dimensional_fans())
+    def test_every_ray_against_every_cone(self, psi):
+        # A ray of the fan outside a cone is not one of the cone's rays.
+        fan = psi.fan
+        for cone, ray in itertools.product(fan.max_cones, fan.rays):
+            assert cone_contains(fan, cone, ray) == solve_cone_contains(fan, cone, ray)
+
+    def test_quotient_inclusion_builds_no_coordinate_vector(self, monkeypatch):
+        # Every image of the inclusion is a ray of the quotient fan: each
+        # of the 13 x 13 tests is a ray lookup or stops at a negative row.
+        sub, big, inclusion = cyclic_quotient_fans(12)
+        for cone in big.max_cones:
+            big.kernel(cone)
+        calls = []
+
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in ("cone_contains", "cone_coordinates", "_row_products"):
+            monkeypatch.setattr(fans, name, counted(name, getattr(fans, name)))
+        assert fans.is_toric_morphism(inclusion, sub, big)
+        assert calls == ["cone_contains"] * 13 * 13
 
 
 class TestCartierCertificate:
@@ -235,6 +332,15 @@ class TestDependentCones:
         with pytest.raises(InfiniteIndexError):
             self.LINE.kernel((0, 1))
 
+    def test_membership_raises_at_its_own_rays(self):
+        # The kernel is read before the rays are: a point that is one of
+        # the cone's rays has no unique coordinates either.
+        plane = Fan(2, ((1, 0), (-1, 0), (0, 1)), ((0, 1), (1, 1)))
+        for fan, cone in ((self.LINE, (0, 1)), (plane, (0, 1)), (plane, (1, 1))):
+            for i in cone:
+                with pytest.raises(InfiniteIndexError):
+                    cone_contains(fan, cone, fan.rays[i])
+
     def test_is_toric_morphism_raises(self):
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         src = Fan(3, ((0, 0, 1),), ((0,),))
@@ -331,6 +437,31 @@ def exchanges(draw):
     return tuple(rays), pos, w
 
 
+@st.composite
+def unimodular_exchanges(draw):
+    """A unimodular ray matrix R (dims 1-6, d = 1) as cone 0..dim-1, a
+    position, and w = sum a_j ray_j with a_pos nonzero and other a_j often
+    0.  Then c = (N w)[pos] = a_pos; where it is -1 or 1, c = d and the
+    rows with c_j = 0 are kept by the step; a_pos = 2 or -3 gives a child
+    of multiplicity 2 or 3, where they are not."""
+    dim = draw(st.integers(1, 6))
+    rays = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, 2 * dim))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        k = draw(st.integers(-2, 2))
+        if i != j:
+            rays[i] = [x + k * y for x, y in zip(rays[i], rays[j])]
+    rays = draw(st.permutations(rays))
+    pos = draw(st.integers(0, dim - 1))
+    coeffs = [
+        draw(st.sampled_from((1, -1, 2, -3))) if i == pos
+        else draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+        for i in range(dim)
+    ]
+    w = tuple(sum(a * ray[j] for a, ray in zip(coeffs, rays)) for j in range(dim))
+    return tuple(map(tuple, rays)), pos, w
+
+
 class TestExchangeStep:
     """A full-dimensional kernel is unique, so the one exchange step of
     ``_exchange_kernel`` must give ``rational_inverse`` of the new rays."""
@@ -338,6 +469,17 @@ class TestExchangeStep:
     @settings(max_examples=300, deadline=None)
     @given(exchanges(), st.randoms(use_true_random=False))
     def test_step_equals_rational_inverse(self, exchange, rnd):
+        self.assert_step_equals_rational_inverse(exchange, rnd)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unimodular_exchanges(), st.randoms(use_true_random=False))
+    def test_smooth_step_equals_rational_inverse(self, exchange, rnd):
+        rays, pos, w = exchange
+        assert rational_inverse(transpose(rays))[1] == 1
+        self.assert_step_equals_rational_inverse(exchange, rnd)
+
+    @staticmethod
+    def assert_step_equals_rational_inverse(exchange, rnd):
         rays, pos, w = exchange
         dim = len(rays)
         cone = tuple(range(dim))
