@@ -14,8 +14,10 @@ appears only where the algorithm divides.  The expansion works on plain
 dicts and builds one ``Poly`` per graded piece.  The count after it runs
 over the integers: the restricted forms are scaled to integer
 polynomials, their resultant is interpolated from integer determinants at
-D + 1 points (Bareiss 1968, Collins 1971), and the squarefree and no-loss
-tests are integer resultants too.  A ``Fraction`` appears there only to
+D + 1 points (Bareiss 1968, Collins 1971), and the no-loss test is an
+integer resultant too.  Squarefreeness is certified by a constant gcd of R
+and R' modulo a prime p with p not dividing deg R lc R; any other case
+takes the exact integer resultant.  A ``Fraction`` appears there only to
 clear the denominators of rational input and in the one final division by
 the scales.  ``sylvester_resultant`` and ``gcd_univariate`` decide the
 same over ``Poly``.  Genericity is never assumed, only detected, and
@@ -388,6 +390,41 @@ def _sylvester_determinant(p: list[int], q: list[int]) -> int:
     return _bareiss_determinant(rows)
 
 
+# The largest prime below 2^30 (checked by trial division): a residue fits
+# one CPython digit.
+_SQUAREFREE_PRIME = 1_073_741_789
+
+
+def _squarefree(r: list[int]) -> bool:
+    """Whether the integer polynomial r (ascending, degree >= 2) is
+    squarefree, that is Res(r, r') != 0, certified modulo a prime first.
+
+    When p = ``_SQUAREFREE_PRIME`` divides neither deg r nor lc r, both
+    reductions keep their formal degrees, so the Sylvester matrix of the
+    reductions is the integer one mod p and Res(r, r') mod p is their
+    resultant over F_p, nonzero exactly when their gcd is constant.  So a
+    constant gcd mod p, by Euclid's algorithm, proves Res(r, r') != 0
+    (Collins 1971; von zur Gathen and Gerhard 2013, ch. 6).  Every other
+    case, "not squarefree" included, takes the exact integer determinant.
+    The leading coefficient is checked before any modular inverse.
+    """
+    p = _SQUAREFREE_PRIME
+    derivative = [i * c for i, c in enumerate(r)][1:]
+    if len(derivative) * r[-1] % p:
+        a, b = [c % p for c in r], [c % p for c in derivative]
+        while len(b) > 1:
+            inverse = pow(b[-1], -1, p)
+            while len(a) >= len(b):
+                factor, shift = a[-1] * inverse % p, len(a) - len(b)
+                for i, c in enumerate(b):
+                    a[shift + i] = (a[shift + i] - factor * c) % p
+                _uni_trim(a)
+            a, b = b, a
+        if b:
+            return True
+    return _sylvester_determinant(r, derivative) != 0
+
+
 def _interpolate(values: list[int]) -> list[int]:
     """Ascending coefficients of the integer polynomial of degree below
     len(values) that takes values[x] at x = 0, 1, ...; trailing zeros are
@@ -472,9 +509,11 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
     interpolated from integer determinants (``_resultant_over_z``) and
     divided once by the scales, Res(P, Q) = scale_P^deg Q scale_Q^deg P
     Res(conic, cubic).  A univariate R of degree >= 2 is squarefree exactly
-    when Res(R, R') != 0, and no solution escapes to infinity when the two
-    leading coefficients share no root, Res(lc_P, lc_Q) != 0; each is one
-    integer determinant.  ``sylvester_resultant`` and ``gcd_univariate``
+    when Res(R, R') != 0: a constant gcd of R and R' modulo a prime p, with
+    p not dividing deg R lc R, proves it, and any other case takes the
+    integer determinant (``_squarefree``).  No solution escapes to infinity
+    when the two leading coefficients share no root, Res(lc_P, lc_Q) != 0,
+    one integer determinant.  ``sylvester_resultant`` and ``gcd_univariate``
     decide the same over ``Poly``.
     """
     expansion = line_pencil_expansion(f, point)
@@ -524,9 +563,7 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
     if not resultant:
         raise DegenerateError("resultant vanishes identically")
     degree = len(resultant) - 1
-    squarefree = degree == 1 or (degree >= 2 and _sylvester_determinant(
-        resultant, [i * c for i, c in enumerate(resultant)][1:]
-    ) != 0)
+    squarefree = degree == 1 or (degree >= 2 and _squarefree(resultant))
     no_loss = (
         len(conic[-1]) == 1 or len(cubic[-1]) == 1
         or _sylvester_determinant(conic[-1], cubic[-1]) != 0

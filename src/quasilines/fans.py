@@ -312,7 +312,8 @@ def _certifies_complete(fan: Fan) -> bool:
     minus the ray at position pos) lies in exactly two cones a and b, as
     the fan's facet table (``_facet_table``) lists them, row pa of the
     kernel N_a of a is negative on the ray of b opposite the facet, and the
-    point p = sum of the rays of cone 0 lies in no other closed cone.
+    point p = sum of the rays of cone 0 lies in no other closed cone: each
+    other kernel's rows are read until the first one negative on p.
 
     Row pa of N_a vanishes on the facet and is d_a > 0 on the ray of a
     opposite it, so the sign test says that a and b lie strictly on opposite
@@ -336,7 +337,8 @@ def _certifies_complete(fan: Fan) -> bool:
         if sum(map(mul, fan.kernel(a)[0][pa], fan.rays[b[pb]])) >= 0:
             return False
     p = tuple(sum(coords) for coords in zip(*(fan.rays[i] for i in cones[0])))
-    return all(any(c < 0 for c in _row_products(fan.kernel(cone)[0], p)) for cone in cones[1:])
+    return all(any(sum(map(mul, row, p)) < 0 for row in fan.kernel(cone)[0])
+               for cone in cones[1:])
 
 
 def validate_fan(fan: Fan) -> ValidationReport:

@@ -83,11 +83,13 @@ def rational_cone_points(fan, cone, rng, count):
 
 
 def find_containing_cone(fan, point):
-    """First maximal cone of ``fan`` that contains ``point``, or None."""
-    for cone in fan.max_cones:
-        if cone_contains(fan, cone, point):
-            return cone
-    return None
+    """First maximal cone of ``fan`` that ``cone_contains`` places ``point``
+    in, or None.  The cone found is confirmed by ``solve_cone_contains``,
+    which shares no code with the kernel, and None is returned when it
+    disagrees: a false "no" already leaves no cone, and a false "yes" is
+    caught here."""
+    cone = next((c for c in fan.max_cones if cone_contains(fan, c, point)), None)
+    return cone if cone is not None and solve_cone_contains(fan, cone, point) else None
 
 
 def supports_agree(fan_a, fan_b, rng, per_cone):
@@ -463,14 +465,17 @@ def solve_cone_contains(fan, cone, point):
     """Reference for ``fans.cone_contains``: the signs of the point's
     coordinates in the cone's rays by ``gauss_jordan_solve``, with no
     kernel and no shortcut for the rays.  Dependent rays raise
-    ``InfiniteIndexError`` at every point, as the kernel does."""
+    ``InfiniteIndexError`` at every point, as the kernel does.  Uniqueness
+    depends on the rays alone, so a point in their span is read by one
+    solve, and only a point outside it takes a second, homogeneous one."""
     columns = transpose([fan.rays[i] for i in cone])
-    if not gauss_jordan_solve(columns, (0,) * fan.dim).unique:
-        raise InfiniteIndexError("cone generators are linearly dependent")
     try:
-        return all(x >= 0 for x in gauss_jordan_solve(columns, point).x)
+        solution, in_span = gauss_jordan_solve(columns, point), True
     except NoSolutionError:
-        return False
+        solution, in_span = gauss_jordan_solve(columns, (0,) * fan.dim), False
+    if not solution.unique:
+        raise InfiniteIndexError("cone generators are linearly dependent")
+    return in_span and all(x >= 0 for x in solution.x)
 
 
 def scan_is_toric_morphism(hom, src, dst):

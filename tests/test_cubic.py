@@ -16,6 +16,7 @@ from conftest import (
     fraction_line_count,
     fraction_plane_restriction,
 )
+from quasilines import cubic
 from quasilines.cli import run
 from quasilines.cubic import (
     BASE_POINT,
@@ -33,7 +34,9 @@ from quasilines.cubic import (
     sample_cubic_instance,
     sylvester_resultant,
     _bareiss_determinant,
+    _SQUAREFREE_PRIME,
     _interpolate,
+    _squarefree,
     _sylvester_determinant,
 )
 from quasilines.errors import QuasilinesError
@@ -402,6 +405,47 @@ def integer_matrices(draw):
     return m
 
 
+def _times(a, b):
+    """Product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _integer_polys(degree, coeff=st.integers(-9, 9)):
+    """Ascending integer coefficient lists of exactly ``degree``."""
+    return st.lists(coeff, min_size=degree, max_size=degree).flatmap(
+        lambda low: coeff.filter(bool).map(lambda lead: low + [lead]))
+
+
+@st.composite
+def squarefree_cases(draw):
+    """Integer polynomials of degree 2..8: plain draws with small or large
+    coefficients, a forced repeated factor g^2 h, two roots that agree
+    modulo ``_SQUAREFREE_PRIME`` ((x - a)(x - a - k p) h), and a leading
+    coefficient that the prime divides."""
+    p = _SQUAREFREE_PRIME
+    kind = draw(st.sampled_from(["plain", "square", "collision", "lead"]))
+    if kind == "plain":
+        wide = st.one_of(st.integers(-9, 9), st.integers(-2 * p, 2 * p))
+        return draw(st.integers(2, 8).flatmap(lambda d: _integer_polys(d, wide)))
+    if kind == "square":
+        g = draw(st.integers(1, 2).flatmap(_integer_polys))
+        h = draw(st.integers(0, 8 - 2 * (len(g) - 1)).flatmap(_integer_polys))
+        return _times(_times(g, g), h)
+    h = draw(st.integers(0, 6).flatmap(_integer_polys))
+    if kind == "collision":
+        a, k = draw(st.integers(-5, 5)), draw(st.integers(-3, 3).filter(bool))
+        return _times(_times([-a, 1], [-a - k * p, 1]), h)
+    r = _times(draw(st.integers(1, 2).flatmap(_integer_polys)), h)
+    while len(r) < 3:
+        r = _times(r, [draw(st.integers(-3, 3)), 1])
+    r[-1] *= p * draw(st.integers(1, 3))
+    return r
+
+
 class TestIntegerKernels:
     """The integer helpers of the count path against exact oracles."""
 
@@ -443,6 +487,33 @@ class TestIntegerKernels:
         res = sylvester_resultant(Poly(1, {(i,): c for i, c in enumerate(p)}),
                                   Poly(1, {(i,): c for i, c in enumerate(q)}), 0)
         assert _sylvester_determinant(p, q) == res.evaluate((0,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(squarefree_cases())
+    def test_squarefree_matches_the_integer_determinant(self, r):
+        derivative = [i * c for i, c in enumerate(r)][1:]
+        assert _squarefree(r) == (_sylvester_determinant(r, derivative) != 0)
+
+    @pytest.mark.parametrize("r,squarefree,determinants", [
+        # (p x + 1)^2: p divides the leading coefficient, where both
+        # reductions lose their degree and read as coprime.
+        (_times([1, _SQUAREFREE_PRIME], [1, _SQUAREFREE_PRIME]), False, 1),
+        # (x - 1)(x - 1 - p): distinct roots that agree modulo p.
+        (_times([-1, 1], [-1 - _SQUAREFREE_PRIME, 1]), True, 1),
+        # (x - 1)^2 (x + 2)
+        (_times(_times([-1, 1], [-1, 1]), [2, 1]), False, 1),
+        # x^2 - 2 and (x - 1)(x - 2)(x + 3) are certified modulo p alone.
+        ([-2, 0, 1], True, 0),
+        (_times(_times([-1, 1], [-2, 1]), [3, 1]), True, 0),
+    ])
+    def test_squarefree_falls_back_to_the_determinant(self, monkeypatch, r, squarefree,
+                                                      determinants):
+        calls = []
+        exact = cubic._sylvester_determinant
+        monkeypatch.setattr(cubic, "_sylvester_determinant",
+                            lambda p, q: calls.append(1) or exact(p, q))
+        assert _squarefree(r) is squarefree
+        assert len(calls) == determinants
 
 
 @st.composite
@@ -493,6 +564,22 @@ BOUND_1_SEEDS = [*range(40), 56, 66, 254, 362, 738, 3006]
 ])
 def test_seeded_count_matches_fraction_oracle(seed, bound):
     _same_count(*sample_cubic_instance(seed, bound))
+
+
+def test_seeded_counts_certify_squarefree_modulo_the_prime(monkeypatch):
+    # Each bound-9 count evaluates the resultant at 7 points by integer
+    # determinants; the squarefree test adds none where the modular
+    # certificate holds, and no-loss reads a constant leading coefficient.
+    calls = []
+    exact = cubic._sylvester_determinant
+    monkeypatch.setattr(cubic, "_sylvester_determinant",
+                        lambda p, q: calls.append(1) or exact(p, q))
+    for seed in range(30):
+        for attempt in range(4):
+            calls.clear()
+            report = count_lines_through_point(*sample_cubic_instance(seed * 1000 + attempt, 9))
+            assert report.generic
+            assert len(calls) == 7
 
 
 def test_bound_1_seeds_reach_every_branch():
