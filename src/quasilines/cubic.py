@@ -11,11 +11,14 @@ the conic invariant e of the threefold.
 
 Arithmetic is exact: integer coefficients stay integers, and a rational
 appears only where the algorithm divides.  The expansion works on plain
-dicts and builds one ``Poly`` per graded piece.  The count after it runs
+dicts and builds one ``Poly`` per graded piece; its t^0 piece is f(p), so
+it also checks that the point lies on the cubic.  The count after it runs
 over the integers: the restricted forms are scaled to integer
-polynomials, their resultant is interpolated from integer determinants at
-D + 1 points (Bareiss 1968, Collins 1971), and the no-loss test is an
-integer resultant too.  Squarefreeness is certified by a constant gcd of R
+polynomials, and their resultant is interpolated from its values at D + 1
+points (Collins 1971).  At full degrees a value is a closed form of the
+conic and the cubic through the pseudo-remainder; lower degrees in y take
+an integer determinant (Bareiss 1968).  The no-loss test is an integer
+resultant too.  Squarefreeness is certified by a constant gcd of R
 and R' modulo a prime p with p not dividing deg R lc R; any other case
 takes the exact integer resultant.  A ``Fraction`` appears there only to
 clear the denominators of rational input and in the one final division by
@@ -328,7 +331,9 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
     the binomial theorem: (p_i + t v_i)^e_i = sum_k C(e_i, k) p_i^(e_i - k)
     t^k v_i^k, where only k = 0 is taken on the pivot coordinate (v_pivot
     = 0) and only k = e_i where p_i = 0.  The power of t sorts each term
-    into its graded piece; the t^0 piece sums to f(p) = 0.
+    into its graded piece.  The t^0 piece is f(p), so the point lies on the
+    hypersurface exactly when that piece is zero; no separate evaluation
+    is made.
     """
     if f.nvars != 5:
         raise DimensionMismatchError("a cubic form in five variables is required")
@@ -339,8 +344,6 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
         raise DimensionMismatchError("the point needs five coordinates")
     if all(x == 0 for x in point):
         raise ValueError("the base point must be nonzero")
-    if f.evaluate(point) != 0:
-        raise NotOnHypersurfaceError("f does not vanish at the point")
     pivot = next(i for i, x in enumerate(point) if x != 0)
     # tables[i][e] lists the kept pairs (k, C(e, k) p_i^(e - k)).
     tables = [
@@ -356,7 +359,8 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
             piece = graded[sum(ks)]
             piece[ks] = piece.get(ks, 0) + prod(factors, start=coeff)
     parts = [Poly(5, g) for g in graded]
-    assert parts[0].is_zero
+    if not parts[0].is_zero:
+        raise NotOnHypersurfaceError("f does not vanish at the point")
     return PencilExpansion(point, pivot, parts[1], parts[2], parts[3])
 
 
@@ -473,16 +477,41 @@ def _restrict_to_plane(form: Poly, degree: int, lead, line_powers: list[dict],
     return columns, lead ** degree * den
 
 
+def _conic_cubic_resultant(p: list[int], q: list[int]) -> int:
+    """Res(p, q) of ascending integer coefficient lists, read with their
+    formal degrees: a closed form for p = (c, b, a) with a != 0 and
+    q = (h, g, f, e), and the Sylvester determinant for any other pair.
+
+    Two pseudo-division steps take q to the linear r0 + r1 y, with
+    a^2 q = (a e y + f1) p + r0 + r1 y, f1 = a f - e b, g1 = a g - e c,
+    r1 = a g1 - f1 b and r0 = a^2 h - f1 c.  So a^2 Res(p, q) is the
+    resultant of p and that linear form, c r1^2 - b r0 r1 + a r0^2, and
+    the division by a^2 is exact (Collins 1971; von zur Gathen and Gerhard
+    2013, ch. 6).
+    """
+    if len(p) != 3 or len(q) != 4 or not p[2]:
+        return _sylvester_determinant(p, q)
+    c, b, a = p
+    h, g, f, e = q
+    f1 = a * f - e * b
+    r1 = a * (a * g - e * c) - f1 * b
+    r0 = a * a * h - f1 * c
+    return (c * r1 * r1 - b * r0 * r1 + a * r0 * r0) // (a * a)
+
+
 def _resultant_over_z(p_cols: list[list[int]], q_cols: list[list[int]]) -> list[int]:
     """Ascending coefficients of Res_y(P, Q) in the survivor s, for integer
     polynomials P, Q in (s, y) of positive degree in y, given by their
     columns as ``_restrict_to_plane`` returns them.
 
     The resultant has degree at most D = totdeg(P) totdeg(Q) in s, so it is
-    interpolated exactly from its values at s = 0..D, each one integer
-    determinant of the evaluated Sylvester matrix (Collins 1971).  The
+    interpolated exactly from its values at s = 0..D (Collins 1971).  The
     formal degrees in y are kept at every point, so each value is the
     resultant evaluated there, even where a leading coefficient vanishes.
+    A conic and a cubic in y take the closed form of
+    ``_conic_cubic_resultant``: P is a conic, so at full degrees its y^2
+    column is a nonzero constant and no point needs a determinant.  Lower degrees in y
+    take the integer determinant of the evaluated Sylvester matrix.
     """
     bound = 1
     for cols in (p_cols, q_cols):
@@ -490,7 +519,7 @@ def _resultant_over_z(p_cols: list[list[int]], q_cols: list[list[int]]) -> list[
     values = []
     for s in range(bound + 1):
         powers = [s ** i for i in range(bound + 1)]
-        values.append(_sylvester_determinant(
+        values.append(_conic_cubic_resultant(
             [sum(map(mul, col, powers)) for col in p_cols],
             [sum(map(mul, col, powers)) for col in q_cols],
         ))
@@ -504,16 +533,18 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
     and cubic parts restrict to a conic and a cubic there, and the count
     is certified by the degree and squarefreeness of their resultant.
 
-    The work after the pencil expansion is integral.  Each restricted form
-    is scaled to an integer polynomial P or Q; their resultant is
-    interpolated from integer determinants (``_resultant_over_z``) and
-    divided once by the scales, Res(P, Q) = scale_P^deg Q scale_Q^deg P
-    Res(conic, cubic).  A univariate R of degree >= 2 is squarefree exactly
-    when Res(R, R') != 0: a constant gcd of R and R' modulo a prime p, with
-    p not dividing deg R lc R, proves it, and any other case takes the
-    integer determinant (``_squarefree``).  No solution escapes to infinity
-    when the two leading coefficients share no root, Res(lc_P, lc_Q) != 0,
-    one integer determinant.  ``sylvester_resultant`` and ``gcd_univariate``
+    The pencil expansion also checks that the point lies on the cubic.  The
+    work after it is integral.  Each restricted form is scaled to an
+    integer polynomial P or Q; their resultant is interpolated from its
+    values, by a closed form at full degrees and by integer determinants
+    below them (``_resultant_over_z``), and divided once by the scales,
+    Res(P, Q) = scale_P^deg Q scale_Q^deg P Res(conic, cubic).  A
+    univariate R of degree >= 2 is squarefree exactly when Res(R, R') != 0:
+    a constant gcd of R and R' modulo a prime p, with p not dividing
+    deg R lc R, proves it, and any other case takes the integer determinant
+    (``_squarefree``).  No solution escapes to infinity when the two leading
+    coefficients share no root, Res(lc_P, lc_Q) != 0, one integer
+    determinant.  ``sylvester_resultant`` and ``gcd_univariate``
     decide the same over ``Poly``.
     """
     expansion = line_pencil_expansion(f, point)

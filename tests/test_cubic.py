@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 from hypothesis import given, note, settings
@@ -34,6 +35,7 @@ from quasilines.cubic import (
     sample_cubic_instance,
     sylvester_resultant,
     _bareiss_determinant,
+    _conic_cubic_resultant,
     _SQUAREFREE_PRIME,
     _interpolate,
     _squarefree,
@@ -130,6 +132,27 @@ class TestLinePencilExpansion:
         f = var(0, 5) ** 3
         with pytest.raises(NotOnHypersurfaceError):
             line_pencil_expansion(f, (1, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("point", [
+        (1, 1, 0, 0, 0),
+        (Fraction(1, 2), Fraction(1, 3), 0, 0, 0),
+    ])
+    def test_off_the_surface_raises_from_the_t0_piece(self, point):
+        # f(p) = 1 and 1/12: the t^0 piece of the expansion is f(p).
+        f = var(0, 5) ** 2 * var(1, 5) + var(2, 5) ** 3
+        for call in (line_pencil_expansion, count_lines_through_point):
+            with pytest.raises(NotOnHypersurfaceError,
+                               match="^f does not vanish at the point$"):
+                call(f, point)
+
+    def test_count_makes_no_separate_evaluation(self, monkeypatch):
+        calls = []
+        evaluate = Poly.evaluate
+        monkeypatch.setattr(Poly, "evaluate",
+                            lambda self, point: calls.append(1) or evaluate(self, point))
+        for seed in range(10):
+            count_lines_through_point(*sample_cubic_instance(seed))
+        assert calls == []
 
     def test_identity_by_substitution(self):
         rng = random.Random(8)
@@ -414,6 +437,15 @@ def _times(a, b):
     return out
 
 
+def _determinant_shapes(monkeypatch):
+    """Record the operand lengths of every ``_sylvester_determinant`` call."""
+    calls = []
+    exact = cubic._sylvester_determinant
+    monkeypatch.setattr(cubic, "_sylvester_determinant",
+                        lambda p, q: calls.append((len(p), len(q))) or exact(p, q))
+    return calls
+
+
 def _integer_polys(degree, coeff=st.integers(-9, 9)):
     """Ascending integer coefficient lists of exactly ``degree``."""
     return st.lists(coeff, min_size=degree, max_size=degree).flatmap(
@@ -444,6 +476,21 @@ def squarefree_cases(draw):
         r = _times(r, [draw(st.integers(-3, 3)), 1])
     r[-1] *= p * draw(st.integers(1, 3))
     return r
+
+
+@st.composite
+def resultant_pairs(draw):
+    """Pairs (p, q) of ascending integer lists.  Lengths (3, 4) take the
+    closed form unless a = p[2] = 0, which some draws force; the other
+    lengths the count meets take the determinant.  Coefficients are small
+    or up to 2^70 in size."""
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+    m, n = draw(st.sampled_from([(3, 4), (3, 2), (3, 3), (2, 3), (2, 4)]))
+    p = draw(st.lists(coeff, min_size=m, max_size=m))
+    q = draw(st.lists(coeff, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        p[-1] = 0
+    return p, q
 
 
 class TestIntegerKernels:
@@ -488,6 +535,24 @@ class TestIntegerKernels:
                                   Poly(1, {(i,): c for i, c in enumerate(q)}), 0)
         assert _sylvester_determinant(p, q) == res.evaluate((0,))
 
+    def test_conic_cubic_closed_form_is_the_resultant(self):
+        # a^2 Res(p, q) = c r1^2 - b r0 r1 + a r0^2 in Z[a, b, c, e, f, g, h].
+        a, b, c, e, f, g, h, y = (var(i, 8) for i in range(8))
+        p = c + b * y + a * y ** 2
+        q = h + g * y + f * y ** 2 + e * y ** 3
+        f1 = a * f - e * b
+        r1 = a * (a * g - e * c) - f1 * b
+        r0 = a * a * h - f1 * c
+        assert a * a * sylvester_resultant(p, q, 7) == c * r1 * r1 - b * r0 * r1 + a * r0 * r0
+
+    @settings(max_examples=300, deadline=None)
+    @given(resultant_pairs())
+    def test_conic_cubic_resultant_matches_the_determinant(self, case):
+        p, q = case
+        res = _conic_cubic_resultant(p, q)
+        assert type(res) is int
+        assert res == _sylvester_determinant(p, q)
+
     @settings(max_examples=300, deadline=None)
     @given(squarefree_cases())
     def test_squarefree_matches_the_integer_determinant(self, r):
@@ -508,12 +573,18 @@ class TestIntegerKernels:
     ])
     def test_squarefree_falls_back_to_the_determinant(self, monkeypatch, r, squarefree,
                                                       determinants):
-        calls = []
-        exact = cubic._sylvester_determinant
-        monkeypatch.setattr(cubic, "_sylvester_determinant",
-                            lambda p, q: calls.append(1) or exact(p, q))
+        calls = _determinant_shapes(monkeypatch)
         assert _squarefree(r) is squarefree
         assert len(calls) == determinants
+
+    def test_squarefree_prime_is_the_largest_below_2_to_the_30(self):
+        # A composite p could make pow(lc, -1, p) raise, and a constant gcd
+        # modulo p would no longer prove anything.
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert is_prime(_SQUAREFREE_PRIME)
+        assert not any(map(is_prime, range(_SQUAREFREE_PRIME + 1, 2 ** 30)))
 
 
 @st.composite
@@ -567,19 +638,30 @@ def test_seeded_count_matches_fraction_oracle(seed, bound):
 
 
 def test_seeded_counts_certify_squarefree_modulo_the_prime(monkeypatch):
-    # Each bound-9 count evaluates the resultant at 7 points by integer
-    # determinants; the squarefree test adds none where the modular
-    # certificate holds, and no-loss reads a constant leading coefficient.
-    calls = []
-    exact = cubic._sylvester_determinant
-    monkeypatch.setattr(cubic, "_sylvester_determinant",
-                        lambda p, q: calls.append(1) or exact(p, q))
+    # Each bound-9 count has full degrees, so its 7 evaluation points take
+    # the closed form; the squarefree test adds no determinant where the
+    # modular certificate holds, and no-loss reads a constant leading
+    # coefficient.
+    calls = _determinant_shapes(monkeypatch)
     for seed in range(30):
         for attempt in range(4):
-            calls.clear()
             report = count_lines_through_point(*sample_cubic_instance(seed * 1000 + attempt, 9))
             assert report.generic
-            assert len(calls) == 7
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed,shapes", [
+    # The cubic is linear in y: seven evaluations by determinant.
+    (0, [(3, 2)] * 7),
+    # The conic is linear in y: the same.
+    (9, [(2, 4)] * 7),
+    # Full degrees, and R is not squarefree: one exact Res(R, R').
+    (31, [(7, 6)]),
+])
+def test_lower_degrees_fall_back_to_the_determinant(monkeypatch, seed, shapes):
+    calls = _determinant_shapes(monkeypatch)
+    count_lines_through_point(*sample_cubic_instance(seed, 1))
+    assert calls == shapes
 
 
 def test_bound_1_seeds_reach_every_branch():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,30 @@ class TestDesingularize:
         # the rays, their order and the cone order are pinned.
         smooth = desingularize(cyclic_quotient_fans(n)[1])
         assert hashlib.sha256(repr(smooth).encode()).hexdigest() == digest
+
+
+def h_vector(fan):
+    """h-vector of a complete simplicial fan, read from its cone index
+    tuples alone: f_i counts the distinct faces with i rays, and
+    h_k = sum_i (-1)^(k - i) C(n - i, k - i) f_i."""
+    n = fan.dim
+    f = [len({face for cone in fan.max_cones for face in itertools.combinations(cone, i)})
+         for i in range(n + 1)]
+    return [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+            for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_refinement_satisfies_dehn_sommerville(n):
+    # A smooth complete fan has a symmetric h-vector, its even Betti
+    # numbers, with h_0 = 1 and h_1 = rays - n (Fulton 1993, ch. 4;
+    # Ziegler 1995, ch. 8).  The check reads only the cone index tuples.
+    smooth = desingularize(cyclic_quotient_fans(n)[1])
+    h = h_vector(smooth)
+    assert h == h[::-1]
+    assert h[0] == 1 and h[1] == len(smooth.rays) - n
+    if n == 5:
+        assert h == [1, 33, 56, 56, 33, 1]
 
 
 class TestToricMorphism:
