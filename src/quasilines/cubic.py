@@ -14,17 +14,16 @@ appears only where the algorithm divides.  The expansion works on plain
 dicts and builds one ``Poly`` per graded piece; its t^0 piece is f(p), so
 it also checks that the point lies on the cubic.  The count after it runs
 over the integers: the restricted forms are scaled to integer
-polynomials, and their resultant is interpolated from its values at D + 1
-points (Collins 1971).  At full degrees a value is a closed form of the
-conic and the cubic through the pseudo-remainder; lower degrees in y take
-an integer determinant (Bareiss 1968).  The no-loss test is an integer
-resultant too.  Squarefreeness is certified by a constant gcd of R
-and R' modulo a prime p with p not dividing deg R lc R; any other case
-takes the exact integer resultant.  A ``Fraction`` appears there only to
-clear the denominators of rational input and in the one final division by
-the scales.  ``sylvester_resultant`` and ``gcd_univariate`` decide the
-same over ``Poly``.  Genericity is never assumed, only detected, and
-failures trigger seeded resampling.
+polynomials in (s, y), and their resultant in y comes out of one
+pseudo-division over Z[s] (Collins 1971; von zur Gathen and Gerhard 2013,
+ch. 6).  The no-loss test is the same integer resultant, taken in s.
+Squarefreeness is certified by a constant gcd of R and R' modulo a prime
+p with p not dividing deg R lc R; any other case runs Euclid's algorithm
+on R and R' over the rationals.  A ``Fraction`` appears only to clear the
+denominators of rational input, in that rare Euclid fallback, and in the
+one final division by the scales.  ``sylvester_resultant`` and
+``gcd_univariate`` decide the same over ``Poly``.  Genericity is never
+assumed, only detected, and failures trigger seeded resampling.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, lcm, prod
-from operator import mul
+from math import comb, lcm, prod
 
 from .errors import QuasilinesError, UsageError
 from .frozen import Frozen
@@ -364,36 +362,6 @@ def line_pencil_expansion(f: Poly, point) -> PencilExpansion:
     return PencilExpansion(point, pivot, parts[1], parts[2], parts[3])
 
 
-def _bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968).  Each step eliminates the first column and drops it
-    with the pivot row; every entry left is a minor of the input, so each
-    division is exact and no rational appears."""
-    m = list(matrix)
-    sign, prev = 1, 1
-    while m:
-        pivot = next((i for i, row in enumerate(m) if row[0]), None)
-        if pivot is None:
-            return 0
-        if pivot:
-            m[0], m[pivot] = m[pivot], m[0]
-            sign = -sign
-        p, *pk = m[0]
-        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], pk)] for row in m[1:]]
-        prev = p
-    return sign * prev
-
-
-def _sylvester_determinant(p: list[int], q: list[int]) -> int:
-    """Resultant of two ascending integer coefficient lists, read with the
-    formal degrees len - 1, as the integer determinant of their Sylvester
-    matrix (laid out as in ``sylvester_resultant``)."""
-    m, n = len(p) - 1, len(q) - 1
-    rows = [[0] * r + p[::-1] + [0] * (n - 1 - r) for r in range(n)]
-    rows += [[0] * r + q[::-1] + [0] * (m - 1 - r) for r in range(m)]
-    return _bareiss_determinant(rows)
-
-
 # The largest prime below 2^30 (checked by trial division): a residue fits
 # one CPython digit.
 _SQUAREFREE_PRIME = 1_073_741_789
@@ -409,8 +377,10 @@ def _squarefree(r: list[int]) -> bool:
     resultant over F_p, nonzero exactly when their gcd is constant.  So a
     constant gcd mod p, by Euclid's algorithm, proves Res(r, r') != 0
     (Collins 1971; von zur Gathen and Gerhard 2013, ch. 6).  Every other
-    case, "not squarefree" included, takes the exact integer determinant.
-    The leading coefficient is checked before any modular inverse.
+    case, "not squarefree" included, runs Euclid's algorithm on r and r'
+    over the rationals (``_uni_rem``): r is squarefree exactly when the
+    last nonzero remainder is a constant.  The leading coefficient is
+    checked before any modular inverse.
     """
     p = _SQUAREFREE_PRIME
     derivative = [i * c for i, c in enumerate(r)][1:]
@@ -426,29 +396,10 @@ def _squarefree(r: list[int]) -> bool:
             a, b = b, a
         if b:
             return True
-    return _sylvester_determinant(r, derivative) != 0
-
-
-def _interpolate(values: list[int]) -> list[int]:
-    """Ascending coefficients of the integer polynomial of degree below
-    len(values) that takes values[x] at x = 0, 1, ...; trailing zeros are
-    trimmed, so the zero polynomial gives [].
-
-    Newton's forward differences give the coefficients a_k = Δ^k f(0) / k!
-    in the falling-factorial basis.  They are integers for a polynomial
-    with integer coefficients, because x^n is an integer combination of
-    falling factorials (Stirling numbers), so each division is exact.
-    """
-    newton, diffs = [], list(values)
-    for k in range(len(values)):
-        newton.append(diffs[0] // factorial(k))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs: list[int] = []
-    for k in reversed(range(len(newton))):
-        # coeffs <- coeffs * (x - k) + a_k
-        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += newton[k]
-    return _uni_trim(coeffs)
+    a, b = r, derivative
+    while b:
+        a, b = b, _uni_rem(a, b)
+    return len(a) == 1
 
 
 def _restrict_to_plane(form: Poly, degree: int, lead, line_powers: list[dict],
@@ -477,53 +428,56 @@ def _restrict_to_plane(form: Poly, degree: int, lead, line_powers: list[dict],
     return columns, lead ** degree * den
 
 
-def _conic_cubic_resultant(p: list[int], q: list[int]) -> int:
-    """Res(p, q) of ascending integer coefficient lists, read with their
-    formal degrees: a closed form for p = (c, b, a) with a != 0 and
-    q = (h, g, f, e), and the Sylvester determinant for any other pair.
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    Two pseudo-division steps take q to the linear r0 + r1 y, with
-    a^2 q = (a e y + f1) p + r0 + r1 y, f1 = a f - e b, g1 = a g - e c,
-    r1 = a g1 - f1 b and r0 = a^2 h - f1 c.  So a^2 Res(p, q) is the
-    resultant of p and that linear form, c r1^2 - b r0 r1 + a r0^2, and
-    the division by a^2 is exact (Collins 1971; von zur Gathen and Gerhard
-    2013, ch. 6).
+
+def _plus(*terms: list[int]) -> list[int]:
+    """Sum of ascending integer coefficient lists, untrimmed."""
+    out = [0] * max(map(len, terms))
+    for term in terms:
+        for i, x in enumerate(term):
+            out[i] += x
+    return out
+
+
+def _resultant(p_cols: list[list[int]], q_cols: list[list[int]]) -> list[int]:
+    """Ascending coefficients of Res_y(P, Q) in s, trimmed, for integer
+    polynomials P, Q in (s, y) given by their columns as
+    ``_restrict_to_plane`` returns them: P of degree 1 or 2 in y, whose y^2
+    column is then a nonzero constant, and Q of degree n >= 1.
+
+    For P = c + b y, Res = sum_k q_k (-c)^k b^(n - k), by Horner's rule.
+    For P = c + b y + a y^2, pseudo-division gives a^(n - 1) Q = S P + r0
+    + r1 y, so a^(n - 1) Res(P, Q) = Res(P, r0 + r1 y) = c r1^2 - b r0 r1
+    + a r0^2, and the division by a^(n - 1) is exact (Collins 1971; von zur
+    Gathen and Gerhard 2013, ch. 6).  Both are identities over Z[s], so
+    the resultant comes out as a polynomial in s.
     """
-    if len(p) != 3 or len(q) != 4 or not p[2]:
-        return _sylvester_determinant(p, q)
-    c, b, a = p
-    h, g, f, e = q
-    f1 = a * f - e * b
-    r1 = a * (a * g - e * c) - f1 * b
-    r0 = a * a * h - f1 * c
-    return (c * r1 * r1 - b * r0 * r1 + a * r0 * r0) // (a * a)
-
-
-def _resultant_over_z(p_cols: list[list[int]], q_cols: list[list[int]]) -> list[int]:
-    """Ascending coefficients of Res_y(P, Q) in the survivor s, for integer
-    polynomials P, Q in (s, y) of positive degree in y, given by their
-    columns as ``_restrict_to_plane`` returns them.
-
-    The resultant has degree at most D = totdeg(P) totdeg(Q) in s, so it is
-    interpolated exactly from its values at s = 0..D (Collins 1971).  The
-    formal degrees in y are kept at every point, so each value is the
-    resultant evaluated there, even where a leading coefficient vanishes.
-    A conic and a cubic in y take the closed form of
-    ``_conic_cubic_resultant``: P is a conic, so at full degrees its y^2
-    column is a nonzero constant and no point needs a determinant.  Lower degrees in y
-    take the integer determinant of the evaluated Sylvester matrix.
-    """
-    bound = 1
-    for cols in (p_cols, q_cols):
-        bound *= max(j + len(col) - 1 for j, col in enumerate(cols))
-    values = []
-    for s in range(bound + 1):
-        powers = [s ** i for i in range(bound + 1)]
-        values.append(_conic_cubic_resultant(
-            [sum(map(mul, col, powers)) for col in p_cols],
-            [sum(map(mul, col, powers)) for col in q_cols],
-        ))
-    return _interpolate(values)
+    n = len(q_cols) - 1
+    if len(p_cols) == 2:
+        c, b = p_cols
+        minus_c, res, b_power = [-x for x in c], q_cols[n], [1]
+        for k in reversed(range(n)):
+            b_power = _times(b_power, b)
+            res = _plus(_times(res, minus_c), _times(q_cols[k], b_power))
+        return _uni_trim(res)
+    c, b, (a,) = p_cols
+    q = list(q_cols)
+    for k in range(n, 1, -1):
+        lead = [-x for x in q.pop()]
+        q = [[a * x for x in col] for col in q]
+        q[k - 1] = _plus(q[k - 1], _times(lead, b))
+        q[k - 2] = _plus(q[k - 2], _times(lead, c))
+    r0, r1 = q
+    res = _plus(_times(c, _times(r1, r1)), _times(b, _times(r0, [-x for x in r1])),
+                [a * x for x in _times(r0, r0)])
+    return _uni_trim([x // a ** (n - 1) for x in res])
 
 
 def count_lines_through_point(f: Poly, point) -> LineCountReport:
@@ -535,17 +489,17 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
 
     The pencil expansion also checks that the point lies on the cubic.  The
     work after it is integral.  Each restricted form is scaled to an
-    integer polynomial P or Q; their resultant is interpolated from its
-    values, by a closed form at full degrees and by integer determinants
-    below them (``_resultant_over_z``), and divided once by the scales,
+    integer polynomial P or Q; their resultant is computed in Z[s] by
+    pseudo-division (``_resultant``) and divided once by the scales,
     Res(P, Q) = scale_P^deg Q scale_Q^deg P Res(conic, cubic).  A
     univariate R of degree >= 2 is squarefree exactly when Res(R, R') != 0:
     a constant gcd of R and R' modulo a prime p, with p not dividing
-    deg R lc R, proves it, and any other case takes the integer determinant
-    (``_squarefree``).  No solution escapes to infinity when the two leading
-    coefficients share no root, Res(lc_P, lc_Q) != 0, one integer
-    determinant.  ``sylvester_resultant`` and ``gcd_univariate``
-    decide the same over ``Poly``.
+    deg R lc R, proves it, and any other case takes Euclid's algorithm over
+    the rationals (``_squarefree``).  No solution escapes to infinity when
+    the two leading coefficients share no root, Res(lc_P, lc_Q) != 0; a
+    constant leading coefficient has no root, and otherwise lc_P is linear
+    in s and ``_resultant`` takes it in s.  ``sylvester_resultant`` and
+    ``gcd_univariate`` decide the same over ``Poly``.
     """
     expansion = line_pencil_expansion(f, point)
     if expansion.q1.is_zero:
@@ -590,14 +544,14 @@ def count_lines_through_point(f: Poly, point) -> LineCountReport:
             full_fibre_degrees=full_degrees,
             resultant=(),
         )
-    resultant = _resultant_over_z(conic, cubic)
+    resultant = _resultant(conic, cubic)
     if not resultant:
         raise DegenerateError("resultant vanishes identically")
     degree = len(resultant) - 1
     squarefree = degree == 1 or (degree >= 2 and _squarefree(resultant))
     no_loss = (
         len(conic[-1]) == 1 or len(cubic[-1]) == 1
-        or _sylvester_determinant(conic[-1], cubic[-1]) != 0
+        or bool(_resultant([[x] for x in conic[-1]], [[x] for x in cubic[-1]]))
     )
     generic = full_degrees and degree == 6 and squarefree and no_loss
     scale = conic_scale ** d_cubic * cubic_scale ** d_conic

@@ -19,7 +19,7 @@ from conftest import (
     smith_index,
     solve_cone_contains,
 )
-from quasilines import argscan, cli, divisors, fans, lattice, models
+from quasilines import argscan, cli, cubic, divisors, fans, lattice, models
 from quasilines.cubic import Poly
 from quasilines.divisors import SupportFunction, _integral_cone_solution, cartier_certificate
 from quasilines.fans import (
@@ -683,5 +683,12 @@ def test_deleted_names_stay_gone():
         (cli, "inspect"),
         # Negative numbers are read by isdecimal checks (argscan._negative_number).
         (argscan, "re"),
+        # Res_y(P, Q) comes out of one pseudo-division over Z[s], with no
+        # evaluation points, no interpolation and no integer determinant.
+        (cubic, "_resultant_over_z"),
+        (cubic, "_conic_cubic_resultant"),
+        (cubic, "_interpolate"),
+        (cubic, "_sylvester_determinant"),
+        (cubic, "_bareiss_determinant"),
     ]:
         assert not hasattr(module, name), name

@@ -14,6 +14,7 @@ from conftest import (
     compose,
     compose_pencil_expansion,
     derivative,
+    determinant,
     fraction_line_count,
     fraction_plane_restriction,
 )
@@ -34,12 +35,9 @@ from quasilines.cubic import (
     reducible_demo_instance,
     sample_cubic_instance,
     sylvester_resultant,
-    _bareiss_determinant,
-    _conic_cubic_resultant,
     _SQUAREFREE_PRIME,
-    _interpolate,
+    _resultant,
     _squarefree,
-    _sylvester_determinant,
 )
 from quasilines.errors import QuasilinesError
 
@@ -394,40 +392,6 @@ def test_cubic_report_bytes_are_pinned(seed):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_DIGESTS[seed]
 
 
-def _fraction_determinant(matrix):
-    """Determinant by Gaussian elimination over ``Fraction``."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(len(m)):
-        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for row in m[k + 1:]:
-            factor = row[k] / m[k][k]
-            row[:] = [a - factor * b for a, b in zip(row, m[k])]
-    return det
-
-
-@st.composite
-def integer_matrices(draw):
-    """Square integer matrices of size 0..6; some have a dependent row, and
-    some a zero leading entry that makes the first pivot need a row swap."""
-    size = draw(st.integers(0, 6))
-    entry = st.integers(-20, 20)
-    m = [[draw(entry) for _ in range(size)] for _ in range(size)]
-    if size >= 2 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(size)))[:2]
-        k = draw(st.integers(-3, 3))
-        m[i] = [k * x for x in m[j]]
-    if size >= 2 and draw(st.booleans()):
-        m[0][0] = 0
-    return m
-
-
 def _times(a, b):
     """Product of two ascending integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -437,13 +401,32 @@ def _times(a, b):
     return out
 
 
-def _determinant_shapes(monkeypatch):
-    """Record the operand lengths of every ``_sylvester_determinant`` call."""
+def _trimmed(coeffs):
+    """An ascending coefficient list without its trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _recorded(monkeypatch, name, shape):
+    """Record ``shape(*args)`` for every call of the ``cubic`` helper
+    ``name``, which still runs."""
     calls = []
-    exact = cubic._sylvester_determinant
-    monkeypatch.setattr(cubic, "_sylvester_determinant",
-                        lambda p, q: calls.append((len(p), len(q))) or exact(p, q))
+    exact = getattr(cubic, name)
+    monkeypatch.setattr(cubic, name,
+                        lambda *args: calls.append(shape(*args)) or exact(*args))
     return calls
+
+
+def _branch_calls(monkeypatch):
+    """(degree of P in y, degree of Q in y) for every ``_resultant`` call:
+    degree 1 takes the Horner sum, degree 2 the pseudo-division."""
+    return _recorded(monkeypatch, "_resultant", lambda p, q: (len(p) - 1, len(q) - 1))
+
+
+def _remainder_calls(monkeypatch):
+    """Operand lengths of every ``_uni_rem`` call, the exact Euclid steps."""
+    return _recorded(monkeypatch, "_uni_rem", lambda num, den: (len(num), len(den)))
 
 
 def _integer_polys(degree, coeff=st.integers(-9, 9)):
@@ -480,86 +463,82 @@ def squarefree_cases(draw):
 
 @st.composite
 def resultant_pairs(draw):
-    """Pairs (p, q) of ascending integer lists.  Lengths (3, 4) take the
-    closed form unless a = p[2] = 0, which some draws force; the other
-    lengths the count meets take the determinant.  Coefficients are small
-    or up to 2^70 in size."""
+    """Column lists (P, Q) in the shape ``_restrict_to_plane`` returns:
+    ascending integer lists in s, one per power of y, the last one nonzero.
+    P is linear in y, or a conic whose y^2 column is a nonzero constant; Q
+    has 2..4 columns.  Coefficients are small or up to 2^70 in size."""
     coeff = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
-    m, n = draw(st.sampled_from([(3, 4), (3, 2), (3, 3), (2, 3), (2, 4)]))
-    p = draw(st.lists(coeff, min_size=m, max_size=m))
-    q = draw(st.lists(coeff, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        p[-1] = 0
-    return p, q
+    column = st.lists(coeff, max_size=3).map(_trimmed)
+    lead = column.filter(bool)
+    p = draw(st.one_of(
+        st.tuples(column, lead),
+        st.tuples(column, column, coeff.filter(bool).map(lambda a: [a])),
+    ))
+    q = draw(st.integers(1, 3).flatmap(lambda n: st.tuples(*[column] * n, lead)))
+    return list(p), list(q)
+
+
+def _columns_poly(cols):
+    """The polynomial in (s, y) = (x0, x1) with the given columns."""
+    return Poly(2, {(i, j): c for j, col in enumerate(cols) for i, c in enumerate(col)})
+
+
+def _sylvester_matrix(p, q):
+    """Sylvester matrix of two ascending integer coefficient lists: deg q
+    shifted rows of p, then deg p shifted rows of q."""
+    m, n = len(p) - 1, len(q) - 1
+    return ([[0] * r + p[::-1] + [0] * (n - 1 - r) for r in range(n)]
+            + [[0] * r + q[::-1] + [0] * (m - 1 - r) for r in range(m)])
 
 
 class TestIntegerKernels:
     """The integer helpers of the count path against exact oracles."""
 
     @settings(max_examples=300, deadline=None)
-    @given(integer_matrices())
-    def test_bareiss_matches_fraction_determinant(self, m):
-        det = _bareiss_determinant(m)
-        assert type(det) is int
-        assert det == _fraction_determinant(m)
-
-    def test_bareiss_swaps_rows_for_a_zero_pivot(self):
-        assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
-        assert _bareiss_determinant([[0, 2, 1], [0, 1, 5], [3, 4, 0]]) == 27
-        assert _bareiss_determinant([[1, 2, 3], [2, 4, 7], [0, 5, 1]]) == -5
-        assert _bareiss_determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
-        assert _bareiss_determinant([[2, 4], [1, 2]]) == 0
-        assert _bareiss_determinant([]) == 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 12).flatmap(
-        lambda d: st.tuples(st.just(d), st.lists(st.integers(-10**6, 10**6), max_size=d + 1))))
-    def test_interpolation_round_trip(self, case):
-        bound, coeffs = case
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        values = [sum(c * x ** i for i, c in enumerate(coeffs)) for x in range(bound + 1)]
-        assert _interpolate(values) == coeffs
-
-    def test_interpolation_of_zero_is_empty(self):
-        assert _interpolate([0] * 7) == []
-        assert _interpolate([]) == []
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5),
-           st.lists(st.integers(-9, 9), min_size=2, max_size=5))
-    def test_sylvester_determinant_matches_sylvester_resultant(self, p, q):
-        p[-1] = p[-1] or 1
-        q[-1] = q[-1] or 1
-        res = sylvester_resultant(Poly(1, {(i,): c for i, c in enumerate(p)}),
-                                  Poly(1, {(i,): c for i, c in enumerate(q)}), 0)
-        assert _sylvester_determinant(p, q) == res.evaluate((0,))
+    @given(resultant_pairs())
+    def test_resultant_matches_sylvester_resultant(self, case):
+        p, q = case
+        res = _resultant(p, q)
+        assert all(type(c) is int for c in res)
+        oracle = sylvester_resultant(_columns_poly(p), _columns_poly(q), 1)
+        assert res == _trimmed(oracle.as_univariate(0))
 
     def test_conic_cubic_closed_form_is_the_resultant(self):
-        # a^2 Res(p, q) = c r1^2 - b r0 r1 + a r0^2 in Z[a, b, c, e, f, g, h].
-        a, b, c, e, f, g, h, y = (var(i, 8) for i in range(8))
+        # a^(n - 1) Q = S P + r0 + r1 y, and then a^(n - 1) Res(P, Q)
+        # = c r1^2 - b r0 r1 + a r0^2 in Z[a, b, c, q0..q3], n = 1, 2, 3.
+        a, b, c, y, *qs = (var(i, 8) for i in range(8))
         p = c + b * y + a * y ** 2
-        q = h + g * y + f * y ** 2 + e * y ** 3
-        f1 = a * f - e * b
-        r1 = a * (a * g - e * c) - f1 * b
-        r0 = a * a * h - f1 * c
-        assert a * a * sylvester_resultant(p, q, 7) == c * r1 * r1 - b * r0 * r1 + a * r0 * r0
+        f1 = a * qs[2] - qs[3] * b
+        pseudo_divisions = {
+            1: (Poly.zero(8), qs[0], qs[1]),
+            2: (qs[2], a * qs[0] - qs[2] * c, a * qs[1] - qs[2] * b),
+            3: (a * qs[3] * y + f1, a * a * qs[0] - f1 * c,
+                a * (a * qs[1] - qs[3] * c) - f1 * b),
+        }
+        for n, (quotient, r0, r1) in pseudo_divisions.items():
+            q = sum((qs[k] * y ** k for k in range(1, n + 1)), qs[0])
+            assert a ** (n - 1) * q == quotient * p + r0 + r1 * y
+            assert (a ** (n - 1) * sylvester_resultant(p, q, 3)
+                    == c * r1 * r1 - b * r0 * r1 + a * r0 * r0)
 
-    @settings(max_examples=300, deadline=None)
-    @given(resultant_pairs())
-    def test_conic_cubic_resultant_matches_the_determinant(self, case):
-        p, q = case
-        res = _conic_cubic_resultant(p, q)
-        assert type(res) is int
-        assert res == _sylvester_determinant(p, q)
+    def test_linear_resultant_is_the_horner_sum(self):
+        # Res(c + b y, Q) = sum_k q_k (-c)^k b^(n - k) in Z[b, c, q0..q3].
+        b, c, y, *qs = (var(i, 7) for i in range(7))
+        for n in (1, 2, 3):
+            q = sum((qs[k] * y ** k for k in range(1, n + 1)), qs[0])
+            expected = sum((qs[k] * (-c) ** k * b ** (n - k) for k in range(1, n + 1)),
+                           qs[0] * b ** n)
+            assert sylvester_resultant(c + b * y, q, 2) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(squarefree_cases())
     def test_squarefree_matches_the_integer_determinant(self, r):
-        derivative = [i * c for i, c in enumerate(r)][1:]
-        assert _squarefree(r) == (_sylvester_determinant(r, derivative) != 0)
+        # Res(r, r') != 0 by the conftest determinant, which shares no step
+        # with the modular certificate or the Euclid fallback.
+        r_prime = [i * c for i, c in enumerate(r)][1:]
+        assert _squarefree(r) == (determinant(_sylvester_matrix(r, r_prime)) != 0)
 
-    @pytest.mark.parametrize("r,squarefree,determinants", [
+    @pytest.mark.parametrize("r,squarefree,fallbacks", [
         # (p x + 1)^2: p divides the leading coefficient, where both
         # reductions lose their degree and read as coprime.
         (_times([1, _SQUAREFREE_PRIME], [1, _SQUAREFREE_PRIME]), False, 1),
@@ -572,10 +551,12 @@ class TestIntegerKernels:
         (_times(_times([-1, 1], [-2, 1]), [3, 1]), True, 0),
     ])
     def test_squarefree_falls_back_to_the_determinant(self, monkeypatch, r, squarefree,
-                                                      determinants):
-        calls = _determinant_shapes(monkeypatch)
+                                                      fallbacks):
+        # The fallback is one exact Euclid run, which starts on (r, r').
+        calls = _remainder_calls(monkeypatch)
         assert _squarefree(r) is squarefree
-        assert len(calls) == determinants
+        assert calls[:1] == [(len(r), len(r) - 1)] * fallbacks
+        assert [num for num, _ in calls] == sorted({num for num, _ in calls}, reverse=True)
 
     def test_squarefree_prime_is_the_largest_below_2_to_the_30(self):
         # A composite p could make pow(lc, -1, p) raise, and a constant gcd
@@ -638,30 +619,38 @@ def test_seeded_count_matches_fraction_oracle(seed, bound):
 
 
 def test_seeded_counts_certify_squarefree_modulo_the_prime(monkeypatch):
-    # Each bound-9 count has full degrees, so its 7 evaluation points take
-    # the closed form; the squarefree test adds no determinant where the
-    # modular certificate holds, and no-loss reads a constant leading
-    # coefficient.
-    calls = _determinant_shapes(monkeypatch)
+    # Each bound-9 count has full degrees, so it takes one pseudo-division
+    # of the cubic by the conic; the modular certificate decides the
+    # squarefree test with no exact Euclid step, and no-loss reads a
+    # constant leading coefficient.
+    branches, remainders = _branch_calls(monkeypatch), _remainder_calls(monkeypatch)
     for seed in range(30):
         for attempt in range(4):
             report = count_lines_through_point(*sample_cubic_instance(seed * 1000 + attempt, 9))
             assert report.generic
-    assert calls == []
+    assert branches == [(2, 3)] * 120
+    assert remainders == []
 
 
 @pytest.mark.parametrize("seed,shapes", [
-    # The cubic is linear in y: seven evaluations by determinant.
-    (0, [(3, 2)] * 7),
-    # The conic is linear in y: the same.
-    (9, [(2, 4)] * 7),
-    # Full degrees, and R is not squarefree: one exact Res(R, R').
-    (31, [(7, 6)]),
+    # The cubic is linear in y: a pseudo-division with n = 1, no step.
+    (0, ([(2, 1)], [])),
+    # The conic is linear in y: the Horner sum.
+    (9, ([(1, 3)], [])),
+    # Full degrees, and R is not squarefree: exact Euclid on R and R',
+    # down to the linear gcd.
+    (31, ([(2, 3)], [(7, 6), (6, 5), (5, 4), (4, 3), (3, 2)])),
+    # Both leading coefficients are linear in s, so the no-loss test takes
+    # the Horner sum in s.
+    (42, ([(1, 2), (1, 1)], [])),
 ])
 def test_lower_degrees_fall_back_to_the_determinant(monkeypatch, seed, shapes):
-    calls = _determinant_shapes(monkeypatch)
+    """Bound-1 counts below full degrees, or off the modular certificate,
+    pinned to the ``_resultant`` branches and the exact Euclid steps they
+    take."""
+    branches, remainders = _branch_calls(monkeypatch), _remainder_calls(monkeypatch)
     count_lines_through_point(*sample_cubic_instance(seed, 1))
-    assert calls == shapes
+    assert (branches, remainders) == shapes
 
 
 def test_bound_1_seeds_reach_every_branch():

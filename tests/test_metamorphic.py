@@ -13,7 +13,11 @@ On the quotient fans n = 2..4, D = (n + 1) times the hyperplane image is
 Cartier, and its pullback to the smooth refinement counts the same sections
 for every multiple kD.  For k = 0..n + 1 the count is a polynomial of degree
 at most n in k (Ehrhart; Cox, Little and Schenck 2011, section 9.4), so its
-(n + 1)-th forward difference is 0.
+(n + 1)-th forward difference is 0.  The interior lattice points of kD,
+those with <u, v_i> >= k b_i + 1, number (-1)^n L(-k), where L is that
+Ehrhart polynomial (Macdonald 1971; Stanley 1974; Beck and Robins 2007,
+ch. 4).  This reciprocity needs no oracle, and it reaches n = 5, where the
+count of 5D passes the lattice-point budget.
 """
 
 import random
@@ -143,6 +147,37 @@ def test_linear_equivalence_translates_the_points(n):
                 tuple(x + y for x, y in zip(u, m)) for u in base["points"])
 
 
+def dilation_divisors(n):
+    """D = (n + 1) times the hyperplane image on the quotient fan, and its
+    pullback along the identity to the smooth refinement, as (fan, values)
+    pairs."""
+    quotient = cyclic_quotient_fans(n)[1]
+    hyperplane = quotient_hyperplane_support(quotient)
+    divisor = SupportFunction(quotient, tuple((n + 1) * v for v in hyperplane.values))
+    assert cartier_certificate(divisor).cartier
+    refined = desingularize(quotient)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return [(quotient, divisor.values), (refined, pullback(divisor, identity, refined).values)]
+
+
+def sections(fan, values, k, shift=0):
+    """h0 of the values k v + shift: the lattice points of kD for shift 0,
+    and those of its interior for shift 1."""
+    return h0(SupportFunction(fan, tuple(k * v + shift for v in values)))
+
+
+def newton_value(values, x):
+    """The polynomial of degree below len(values) that takes values[i] at
+    i = 0, 1, ..., evaluated at the integer x by Newton's forward
+    differences; each binomial C(x, j) is an exact integer."""
+    total, binomial, diffs = 0, 1, list(values)
+    for j in range(len(values)):
+        total += diffs[0] * binomial
+        binomial = binomial * (x - j) // (j + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
 # h0(kD) for k = 0..n + 1; at n = 5 the count for k = 6 is over the
 # lattice-point budget.
 EHRHART_COUNTS = {
@@ -154,19 +189,36 @@ EHRHART_COUNTS = {
 
 @pytest.mark.parametrize("n", sorted(EHRHART_COUNTS))
 def test_pullback_keeps_the_ehrhart_counts(n):
-    quotient = cyclic_quotient_fans(n)[1]
-    hyperplane = quotient_hyperplane_support(quotient)
-    divisor = SupportFunction(quotient, tuple((n + 1) * v for v in hyperplane.values))
-    assert cartier_certificate(divisor).cartier
-    refined = desingularize(quotient)
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    pulled = pullback(divisor, identity, refined)
+    (quotient, values), (refined, pulled) = dilation_divisors(n)
     counts = []
     for k in range(n + 2):
-        count = h0(SupportFunction(quotient, tuple(k * v for v in divisor.values)))
-        assert h0(SupportFunction(refined, tuple(k * v for v in pulled.values))) == count
+        count = sections(quotient, values, k)
+        assert sections(refined, pulled, k) == count
         counts.append(count)
     assert tuple(counts) == EHRHART_COUNTS[n]
     for _ in range(n + 1):
         counts = [b - a for a, b in zip(counts, counts[1:])]
     assert counts == [0]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_interior_counts_satisfy_ehrhart_macdonald_reciprocity(n):
+    # L(-k) is extrapolated exactly from L(0..n), on both fans.
+    for fan, values in dilation_divisors(n):
+        ehrhart = [sections(fan, values, k) for k in range(n + 1)]
+        interior = [sections(fan, values, k, shift=1) for k in range(1, n + 2)]
+        assert interior == [(-1) ** n * newton_value(ehrhart, -k) for k in range(1, n + 2)]
+        if n == 3:
+            assert interior == [0, 9, 42, 115]
+
+
+def test_reciprocity_brings_n_5_into_the_ehrhart_check():
+    # L(-2) and L(-1), read off the interior counts at k = 2 and 1, stand in
+    # for the counts at k = 5 and 6, which pass the lattice-point budget.
+    for fan, values in dilation_divisors(5):
+        counts = [-sections(fan, values, k, shift=1) for k in (2, 1)]
+        counts += [sections(fan, values, k) for k in range(5)]
+        assert counts == [-76, 0, 1, 80, 1038, 5620, 19811]
+        for _ in range(6):
+            counts = [b - a for a, b in zip(counts, counts[1:])]
+        assert counts == [0]
