@@ -274,7 +274,15 @@ def _poly_determinant(matrix: list[list[Poly]], nvars: int) -> Poly:
 
 
 def sylvester_resultant(p: Poly, q: Poly, var: int) -> Poly:
-    """Exact determinant of the Sylvester matrix of p and q w.r.t. ``var``."""
+    """Exact determinant of the Sylvester matrix of p and q w.r.t. ``var``.
+
+    The determinant is expanded by column subsets (``_poly_determinant``),
+    so its cost grows as 2^(m + n) in the degrees m and n of p and q: one
+    Res(r, r') for r of degree 8 took 0.56 s (2 vCPU, CPython 3.11.7).  It
+    suits the degrees (2, 3) in y of the line count's reference
+    computation in the tests, where it is used; the count itself takes its
+    resultant by pseudo-division (``_resultant``).
+    """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("resultant of a zero polynomial")
     p._check(q)

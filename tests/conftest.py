@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -30,11 +31,7 @@ from quasilines.divisors import (
     sections_polyhedron,
 )
 from quasilines.errors import UsageError
-from quasilines.fans import (
-    cone_contains,
-    cone_coordinates,
-    stellar_subdivide,
-)
+from quasilines.fans import Fan, cone_contains
 from quasilines.lattice import (
     InfiniteIndexError,
     LinearSolution,
@@ -422,43 +419,73 @@ def per_sample_extension_check(base, refined, coeff_bound, samples, seed):
 def scan_desingularize(fan):
     """Reference for ``fans.desingularize``: the same choice of target cone
     and ray, but every candidate is scored against every maximal cone, the
-    multiplicities are read for every cone at every step, and each step is
-    a whole-fan ``stellar_subdivide``.  Every multiplicity is a Smith index.
-    Needs no valid fan and no budget."""
+    multiplicities are read for every cone at every step, and each step
+    builds its own star.  Every multiplicity, the children's included, is a
+    Smith index, so the scan reads no cone kernel and takes no exchange
+    step.  Needs no valid fan and no budget.
+
+    In a full-dimensional cone with rays r_i, w = sum l_i r_i has l_i =
+    det(r with r_i replaced by w) / det(r) (Cramer's rule), and that
+    numerator is <C_i, w> for the row C_i of cofactors of r_i (Laplace
+    expansion).  So the cofactors are read once per cone and scan, each a
+    ``determinant`` of a minor, and w lies in the cone when no <C_i, w> has
+    the sign opposite to det(r) = <C_0, r_0>.  A smaller cone is tested by
+    ``solve_cone_contains`` and read by ``gauss_jordan_solve`` for each
+    candidate.  The child that replaces ray pos by w, for each positive
+    coordinate, is built as a sorted index tuple, and each Smith index is
+    read once per scan and ray tuple."""
+    cofactors, indices = {}, {}
+
+    def cofactor(rays, i, j):
+        rest = rays[:i] + rays[i + 1:]
+        return (-1) ** (i + j) * determinant([r[:j] + r[j + 1:] for r in rest])
+
+    def coordinates(current, cone, w):
+        rays = tuple(current.rays[i] for i in cone)
+        if len(cone) < current.dim:
+            if not solve_cone_contains(current, cone, w):
+                return None
+            return gauss_jordan_solve(transpose(rays), w).x
+        if rays not in cofactors:
+            k = len(rays)
+            cofactors[rays] = [[cofactor(rays, i, j) for j in range(k)] for i in range(k)]
+        rows = cofactors[rays]
+        sign = 1 if sum(map(mul, rows[0], rays[0])) > 0 else -1
+        coords = [sign * sum(map(mul, row, w)) for row in rows]
+        return coords if min(coords) >= 0 else None
+
+    def index(rays):
+        if rays not in indices:
+            indices[rays] = smith_index(rays)
+        return indices[rays]
+
     current = fan
     while True:
-        mults = {
-            cone: smith_index(tuple(current.rays[i] for i in cone))
-            for cone in current.max_cones
-        }
+        mults = {cone: index(tuple(current.rays[i] for i in cone)) for cone in current.max_cones}
         worst = max(mults.values(), default=1)
         if worst == 1:
             return current
         target = min(cone for cone, m in mults.items() if m == worst)
         target_rays = tuple(current.rays[i] for i in target)
         candidates = sorted({primitive(p) for p in fraction_box_lattice_points(target_rays)})
-        best_w = None
-        best_score = None
+        rays = current.rays
+        best = None
         for w in candidates:
-            score = 0
+            star, children = set(), set()
             for cone in current.max_cones:
-                coords = cone_coordinates(current, cone, w)
-                if coords is None or any(c < 0 for c in coords):
-                    continue
-                if len(cone) == current.dim:
-                    # coords[pos] is the multiplicity of the child cone
-                    # that replaces ray pos by w.
-                    score = max(score, *coords)
-                    continue
-                rays = tuple(current.rays[i] for i in cone)
-                for pos, coeff in enumerate(coords):
-                    if coeff > 0:
-                        child = rays[:pos] + (w,) + rays[pos + 1:]
-                        score = max(score, smith_index(child))
-            if best_score is None or score < best_score:
-                best_score, best_w = score, w
-        assert best_w is not None
-        current = stellar_subdivide(current, best_w)
+                coords = coordinates(current, cone, w)
+                if coords is not None:
+                    star.add(cone)
+                    children.update(
+                        tuple(sorted(cone[:pos] + cone[pos + 1:] + (len(rays),)))
+                        for pos, c in enumerate(coords) if c > 0
+                    )
+            score = max(index(tuple((rays + (w,))[i] for i in child)) for child in children)
+            if best is None or score < best[0]:
+                best = score, w, star, children
+        _, w, star, children = best
+        cones = sorted(set(current.max_cones) - star | children)
+        current = Fan(current.dim, rays + (w,), tuple(cones))
 
 
 def solve_cone_contains(fan, cone, point):

@@ -132,6 +132,8 @@ class TestAgainstArgparse:
         ("models -- pn-line", {"record": "pn-line"}),
         ("fan -- validate p2.txt", {"subop": "validate", "fanfile": "p2.txt"}),
         ("models --n 3 toric-quotient", {"record": "toric-quotient", "n": 3}),
+        # -- right after the last positional ends the options and takes nothing.
+        ("fan validate f.txt --", {"subop": "validate", "fanfile": "f.txt"}),
     ])
     def test_pinned_readings(self, argv, dests):
         argv = shlex.split(argv)

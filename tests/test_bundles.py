@@ -60,6 +60,10 @@ class TestRecoverSplitting:
         with pytest.raises(InvalidSplittingError):
             recover_splitting((2, -2, 1), 1)
 
+    def test_differences_not_divisible_by_k_rejected(self):
+        with pytest.raises(InvalidSplittingError, match="divisible by 3"):
+            recover_splitting((1, 0, -1), 0)
+
     def test_bad_anchor_rejected(self):
         with pytest.raises(InvalidSplittingError):
             recover_splitting((-1, 1), 2)
@@ -183,6 +187,8 @@ class TestFibrationReduction:
             fibration_reduction(SplittingType((1, 2)), DivisorData(d_y=2, dim_d=5, n=3))
         with pytest.raises(InapplicableReductionError, match="dim"):
             fibration_reduction(SplittingType((3, 3)), DivisorData(d_y=2, dim_d=1, n=3))
+        with pytest.raises(InapplicableReductionError, match="must be positive"):
+            fibration_reduction(SplittingType((3, 3)), DivisorData(d_y=0, dim_d=4, n=3))
 
 
 class TestCriteria:

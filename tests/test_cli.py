@@ -1,7 +1,10 @@
 """End-to-end tests for the command line front end and its file formats."""
 
 import functools
+import runpy
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -665,6 +668,16 @@ class TestMainAndOutput:
         ]) == 0
         assert capsys.readouterr().out == ""
         assert "self-intersections: -1 1" in target.read_text()
+
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        argv = ["bundle", "elm", "--type", "0,2"]
+        monkeypatch.setattr(sys, "argv", ["quasilines"] + argv)
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+            # runpy warns that quasilines.cli is imported already.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("quasilines.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == run(argv)[1]
 
     def test_human_format_banner(self):
         code, text = run(["bundle", "elm", "--type", "0,2"])

@@ -23,6 +23,7 @@ from quasilines.cli import run
 from quasilines.cubic import (
     BASE_POINT,
     DegenerateError,
+    DimensionMismatchError,
     LineCountReport,
     NotOnHypersurfaceError,
     Poly,
@@ -71,6 +72,40 @@ class TestPolyArithmetic:
         x, y = var(0, 2), var(1, 2)
         p = x * x + y
         assert compose(p, [y, y]) == y * y + y
+
+    def test_repr(self):
+        assert repr(Poly(2)) == "Poly(0)"
+        p = Poly(2, {(2, 0): Fraction(-1, 2), (0, 1): 3, (0, 0): Fraction(5, 3), (1, 1): -1})
+        assert repr(p) == "Poly(5/3 + 3*x1 + -1*x0*x1 + -1/2*x0^2)"
+
+    def test_exponent_tuple_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatchError, match="exponent tuple"):
+            Poly(2, {(1,): 1})
+
+    def test_addition_across_rings(self):
+        with pytest.raises(DimensionMismatchError, match="^2 variables vs 3$"):
+            var(0, 2) + var(0, 3)
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            var(0, 1) ** -1
+
+    def test_evaluate_at_a_point_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatchError, match="evaluation point"):
+            var(0, 2).evaluate((1,))
+
+    def test_as_univariate_with_another_variable(self):
+        with pytest.raises(ValueError, match=r"also involves variables \[1\]"):
+            (var(0, 2) + var(1, 2)).as_univariate(0)
+
+    def test_gcd_univariate_argument_checks(self):
+        with pytest.raises(ValueError, match="one shared variable"):
+            gcd_univariate(var(0, 2), var(1, 2))
+        with pytest.raises(DimensionMismatchError, match="different rings"):
+            gcd_univariate(var(0, 1), var(0, 2))
+
+    def test_gcd_univariate_of_two_zeros_is_zero(self):
+        assert gcd_univariate(Poly(1), Poly(1)) == Poly(1)
 
 
 class TestSylvesterResultant:
@@ -130,6 +165,16 @@ class TestLinePencilExpansion:
         f = var(0, 5) ** 3
         with pytest.raises(NotOnHypersurfaceError):
             line_pencil_expansion(f, (1, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("f,point,error,message", [
+        (var(0, 4) ** 3, (1, 0, 0, 0), DimensionMismatchError, "five variables"),
+        (var(1, 5) ** 4, (1, 0, 0, 0, 0), ValueError, "at most 3"),
+        (var(1, 5) ** 3, (1, 0, 0, 0), DimensionMismatchError, "five coordinates"),
+        (var(1, 5) ** 3, (0, 0, 0, 0, 0), ValueError, "nonzero"),
+    ], ids=["four-variables", "degree-4", "four-coordinates", "zero-point"])
+    def test_argument_checks(self, f, point, error, message):
+        with pytest.raises(error, match=message):
+            line_pencil_expansion(f, point)
 
     @pytest.mark.parametrize("point", [
         (1, 1, 0, 0, 0),

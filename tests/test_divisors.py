@@ -17,6 +17,7 @@ from conftest import (
 from quasilines import divisors
 from quasilines.cli import run
 from quasilines.divisors import (
+    NotCartierError,
     NotMorphismError,
     SectionsPolyhedron,
     SupportFunction,
@@ -75,6 +76,19 @@ class TestCartierCertificate:
         assert certificate.cartier
         assert certificate.cone_duals == ((0, 0),) * 3
 
+    def test_evaluate_without_a_certificate(self):
+        _, big, _ = cyclic_quotient_fans(2)
+        certificate = cartier_certificate(quotient_hyperplane_support(big))
+        with pytest.raises(NotCartierError, match="no certificate to evaluate"):
+            certificate.evaluate((1, 0))
+
+    def test_evaluate_outside_the_support(self):
+        half_plane = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+        certificate = cartier_certificate(SupportFunction(half_plane, (-1, -2)))
+        assert certificate.evaluate((2, 1)) == -4
+        with pytest.raises(ValueError, match="outside the support"):
+            certificate.evaluate((-1, 0))
+
 
 class TestPullback:
     def test_identity(self):
@@ -108,6 +122,12 @@ class TestPullback:
         reflection = ((-1, 0), (0, 1))
         with pytest.raises(NotMorphismError):
             pullback(psi, reflection, half_plane)
+
+    def test_not_cartier(self):
+        _, big, _ = cyclic_quotient_fans(2)
+        psi = quotient_hyperplane_support(big)
+        with pytest.raises(NotCartierError, match="^no certificate: cone 0 has rational-only dual$"):
+            pullback(psi, ((1, 0), (0, 1)), big)
 
 
 class TestSectionsPolyhedron:
@@ -268,6 +288,12 @@ class TestExtensionChecks:
         second, _, _ = quotient_extension_check(2, 5, 12, seed=3)
         assert first == second
 
+    def test_refinement_must_keep_the_base_rays(self):
+        base = SupportFunction(make_fan(2, [(1, 0), (0, 1)], [(0, 1)]), (0, -1))
+        dropped = make_fan(2, [(1, 0), (1, 1)], [(0, 1)])
+        with pytest.raises(ValueError, match="^refined fan must preserve the base rays as a prefix$"):
+            sampled_extension_check(base, dropped, coeff_bound=1, samples=1, seed=0)
+
     def test_degenerate_refinement_without_new_rays(self):
         base = SupportFunction(P1_FAN, (0, -1))
         report = sampled_extension_check(base, P1_FAN, coeff_bound=5, samples=5, seed=1)
@@ -351,9 +377,9 @@ class TestExtensionReductions:
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Calls of ``count_lattice_points`` and ``cartier_certificate`` made
-    through ``divisors`` from now on."""
-    calls = {"count_lattice_points": 0, "cartier_certificate": 0}
+    """Calls of ``count_lattice_points``, ``cartier_certificate`` and
+    ``sections_polyhedron`` made through ``divisors`` from now on."""
+    calls = {"count_lattice_points": 0, "cartier_certificate": 0, "sections_polyhedron": 0}
     for name in calls:
         def counting(*args, name=name, original=getattr(divisors, name)):
             calls[name] += 1
@@ -367,7 +393,9 @@ class TestExtensionWork:
     def test_smooth_refinement_counts_once_and_certifies_nothing(self, work_counts):
         code, _ = run(["lemma-a2", "--n", "3", "--samples", "8"])
         assert code == 0
-        assert work_counts == {"count_lattice_points": 1, "cartier_certificate": 0}
+        assert work_counts == {
+            "count_lattice_points": 1, "cartier_certificate": 0, "sections_polyhedron": 1,
+        }
 
     def test_quotient_check_inverts_only_the_quotient_cones(self, inverse_calls):
         # The quotient cones share facets, so one of them is inverted and
@@ -388,5 +416,7 @@ class TestExtensionWork:
     ):
         report = sampled_extension_check(base, refined, 3, 10, seed=0)
         assert work_counts == {
-            "count_lattice_points": 1, "cartier_certificate": report.tested,
+            "count_lattice_points": 1,
+            "cartier_certificate": report.tested,
+            "sections_polyhedron": 1,
         }

@@ -100,6 +100,10 @@ class TestValidateFan:
         report = validate_fan(make_fan(2, [(1, 0)], [()]))
         assert report.violations == ("cone 0 is empty", "ray 0 appears in no maximal cone")
 
+    def test_missing_ray(self):
+        report = validate_fan(make_fan(2, [(1, 0), (0, 1)], [(0, 2)]))
+        assert "cone 0 references a missing ray" in report.violations
+
     def test_dimension_must_be_positive(self):
         assert validate_fan(Fan(0, (), ())).violations == ("dimension must be positive",)
 
@@ -134,6 +138,14 @@ class TestStellarSubdivide:
     def test_outside_support(self):
         with pytest.raises(OutsideSupportError):
             stellar_subdivide(PLANE_CONE, (-1, 0))
+
+    @pytest.mark.parametrize("w,message", [
+        ((0, 0), "zero vector"),
+        ((2, 2), "must be primitive"),
+    ])
+    def test_point_must_be_primitive_and_nonzero(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            stellar_subdivide(PLANE_CONE, w)
 
     def test_quotient_interior_point_drops_multiplicity(self):
         _, big, _ = cyclic_quotient_fans(2)
@@ -252,6 +264,11 @@ class TestToricMorphism:
     def test_reflection_fails_on_half_plane(self):
         reflection = ((-1, 0), (0, 1))
         assert not is_toric_morphism(reflection, PLANE_CONE, PLANE_CONE)
+
+    @pytest.mark.parametrize("hom", [((1, 0),), ((1, 0, 0), (0, 1, 0))])
+    def test_hom_of_the_wrong_shape(self, hom):
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            is_toric_morphism(hom, PLANE_CONE, PLANE_CONE)
 
 
 class TestLowerDimensionalCone:
@@ -441,6 +458,13 @@ class TestStarAgainstScan:
     def test_desingularize_equals_scan(self, case):
         fan, _ = case
         assert desingularize(fan) == scan_desingularize(fan)
+
+    def test_desingularize_equals_scan_on_lower_dimensional_cones(self):
+        # Cone (0, 1) has multiplicity 2 and takes the scan's smaller-cone
+        # branch.
+        refined = desingularize(LOWER_DIM_FAN)
+        assert refined.rays[-1] == (1, 1, 0)
+        assert refined == scan_desingularize(LOWER_DIM_FAN)
 
     @settings(max_examples=200, deadline=None)
     @given(fan_homs())

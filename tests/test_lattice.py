@@ -83,6 +83,14 @@ class TestMatVec:
             mat_vec(a, v)
         assert str(raised.value) == message
 
+    def test_dot_of_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^dimension mismatch in dot product$"):
+            lattice.dot((1, 2), (1,))
+
+    def test_inverse_of_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+            rational_inverse(((1, 2, 3), (4, 5, 6)))
+
 
 class TestSmithNormalForm:
     def test_identity(self):
@@ -215,6 +223,10 @@ class TestSolveRationalLinear:
     def test_inconsistent(self):
         with pytest.raises(NoSolutionError):
             solve_rational_linear(((1, 0), (1, 0)), (0, 1))
+
+    def test_short_right_hand_side(self):
+        with pytest.raises(ValueError, match="right-hand side length"):
+            solve_rational_linear(identity_matrix(2), (1,))
 
     def test_substitution_property(self):
         rng = random.Random(99)

@@ -79,6 +79,15 @@ def test_render_matches_the_isinstance_chain(entries):
     assert render(entries).encode() == isinstance_render(entries).encode()
 
 
+class Pair(tuple):
+    pass
+
+
+def test_tuple_subclass_takes_the_isinstance_chain():
+    entries = [("pair", Pair((1, Fraction(-1, 2)))), ("items", [Pair(("x", Level.LOW))])]
+    assert render(entries) == "pair: 1 -1/2\nitems:\n- x 1\n" == isinstance_render(entries)
+
+
 @pytest.mark.parametrize("value", [0.5, (1, 0.5), [(Fraction(1, 2), (2.0,))]])
 def test_float_is_not_rendered(value):
     with pytest.raises(TypeError):
