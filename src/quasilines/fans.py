@@ -21,9 +21,12 @@ full-dimensional cone that shares a facet with a stored one takes its
 kernel from that neighbour's by one fraction-free exchange step, so a fan
 whose cones are read facet to facet inverts one matrix, and the
 completeness certificate reads its facet pairs off the same table.  A
-stellar subdivision derives each new cone's kernel from its parent's, by
-the same step when the cone is full-dimensional, so the fans that
-``stellar_subdivide`` and ``desingularize`` return hold a kernel for every
+stellar subdivision derives each new cone's kernel from its parent's.  A
+full-dimensional child gets its multiplicity at once and defers the same
+exchange step until its N is first read, as a desingularization target,
+in a scored star or by ``Fan.kernel``; smoothness and multiplicity read d
+alone (``Fan.multiplicity``).  So the fans that ``stellar_subdivide`` and
+``desingularize`` return hold a kernel or a deferred step for every
 maximal cone and compute none afresh.  The module also builds the fans of
 projective space and of its cyclic quotient of order n+1, together with
 the lattice inclusion realising the quotient map.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import QuasilinesError, UsageError
@@ -93,15 +96,17 @@ class FanPairBudgetError(QuasilinesError):
 class Fan(Frozen):
     """Primitive ray generators plus maximal cones as sorted index tuples.
 
-    The fan stores each cone kernel it computes, keyed by the cone, for its
-    own lifetime.  Its facet table (``_facet_table``) maps each facet of a
-    full-dimensional maximal cone to its sides (cone, pos), pos the position
-    of the ray opposite the facet.  It is built once, at the first kernel
-    miss on a full-dimensional cone or the first completeness certificate,
-    and both read it; a fan that ``stellar_subdivide`` or ``desingularize``
-    returns holds every kernel, so it builds the table only if validated.
-    Store and table are set at construction, and are not fields: neither is
-    built from, shown or compared.
+    The fan stores, keyed by the cone, each cone kernel it computes for its
+    own lifetime, or a deferred exchange step that gives the kernel when
+    first read (``_forced``).  Its facet table (``_facet_table``) maps each
+    facet of a full-dimensional maximal cone to its sides (cone, pos), pos
+    the position of the ray opposite the facet.  It is built once, at the
+    first kernel miss on a full-dimensional cone or the first completeness
+    certificate, and both read it; a fan that ``stellar_subdivide`` or
+    ``desingularize`` returns holds a kernel or a deferred step for every
+    maximal cone, so it builds the table only if validated.  Store and
+    table are set at construction, and are not fields: neither is built
+    from, shown or compared.
     """
 
     dim: int
@@ -116,7 +121,8 @@ class Fan(Frozen):
         """Integer kernel (N, d) of a cone of any dimension (see
         ``_integer_kernel``), computed once per fan.
 
-        A full-dimensional cone that shares a facet with a maximal cone
+        A stored deferred step is taken in place (``_forced``).  A
+        full-dimensional cone that shares a facet with a maximal cone
         whose kernel is stored takes its kernel from that neighbour's by one
         exchange step (``_exchange_kernel``), which costs O(dim^2) against
         O(dim^3) for an inversion.  Its new ray w has coordinate
@@ -131,7 +137,15 @@ class Fan(Frozen):
                 [self.rays[i] for i in cone], self.dim
             )
             self._kernels[cone] = kernel
+        elif kernel[0] is None:
+            kernel = _forced(self._kernels, cone)
         return kernel
+
+    def multiplicity(self, cone: Cone) -> int:
+        """The multiplicity d of ``cone``, read off its stored entry without
+        taking a deferred step; a cone with no entry takes ``kernel``."""
+        entry = self._kernels.get(cone)
+        return (self.kernel(cone) if entry is None else entry)[1]
 
     def _neighbour_kernel(self, cone: Cone) -> tuple[Matrix, int] | None:
         """The kernel of ``cone`` by one exchange step from the first side,
@@ -147,8 +161,8 @@ class Fan(Frozen):
         facets = _facet_table(self)
         for at, w_index in reversed([*enumerate(cone)]):
             for neighbour, pos in facets.get(cone[:at] + cone[at + 1:], ()):
-                kernel = self._kernels.get(neighbour)
-                if kernel is not None:
+                if neighbour in self._kernels:
+                    kernel = self.kernel(neighbour)
                     w = self.rays[w_index]
                     coords = _row_products(kernel[0], w) if len(w) == self.dim else None
                     if coords is None or not coords[pos]:
@@ -171,6 +185,21 @@ def _facet_table(fan: Fan) -> dict[Cone, list[tuple[Cone, int]]]:
             facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((cone, pos))
         object.__setattr__(fan, "_facets", facets)
     return fan._facets
+
+
+def _forced(kernels: dict, cone: Cone) -> tuple[Matrix, int]:
+    """The kernel of ``cone`` in the store ``kernels``, its deferred step
+    taken in place first if it has one.
+
+    A deferred entry is (None, d, step), d the cone's multiplicity and step
+    the arguments (kernel, parent, coords, pos, w_index) of the exchange
+    step from the parent's kernel (``_exchange_kernel``); ``_star_children``
+    records it.  A kernel entry is (N, d), so entry[1] is d either way.
+    """
+    entry = kernels[cone]
+    if entry[0] is None:
+        entry = kernels[cone] = _exchange_kernel(*entry[2], cone)
+    return entry
 
 
 def _integer_kernel(rays, dim: int) -> tuple[Matrix, int]:
@@ -275,11 +304,11 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     """
     if len(cone) != fan.dim:
         raise NotMaximalError(f"cone {cone} is not full-dimensional in dim {fan.dim}")
-    return fan.kernel(cone)[1]
+    return fan.multiplicity(cone)
 
 
 def is_smooth(fan: Fan) -> bool:
-    return all(fan.kernel(cone)[1] == 1 for cone in fan.max_cones)
+    return all(fan.multiplicity(cone) == 1 for cone in fan.max_cones)
 
 
 def _meet_in_common_face(fan: Fan, a: Cone, b: Cone) -> bool:
@@ -410,10 +439,10 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
 
     Every maximal cone containing ``w``, found by scanning every cone, is
     replaced by the joins of ``w`` with its facets not containing ``w``;
-    cones away from ``w`` survive unchanged.  The new fan's store holds a
-    kernel for every maximal cone: the scan's kernels for the survivors and
-    those of ``_star_children`` for the joins.  Subdividing at an existing
-    ray returns an equal fan.
+    cones away from ``w`` survive unchanged.  The new fan's store holds an
+    entry for every maximal cone: the survivors' entries as ``fan`` stores
+    them and those of ``_star_children`` for the joins.  Subdividing at an
+    existing ray returns an equal fan.
     """
     w = tuple(int(x) for x in w)
     if all(x == 0 for x in w):
@@ -440,27 +469,33 @@ def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
 
 
 def _star_children(rays, cone: Cone, coords, kernel, w_index: int):
-    """The cones, each with its kernel, that replace ``cone`` when a stellar
-    subdivision adds the lattice point w = ``rays[w_index]``.
+    """The cones, each with its store entry, that replace ``cone`` when a
+    stellar subdivision adds the lattice point w = ``rays[w_index]``.
 
     ``coords`` = N w are the kernel coordinates of w in ``cone``, all
     nonnegative, where ``kernel`` = (N, d).  The join of w with the facet
     opposite each ray of positive coordinate c = coords[pos] is yielded.
     Its multiplicity is c in every dimension: w = sum c_j ray_j / d, so
     replacing ray pos by w scales the index d by c / d (Cramer's rule).  A
-    full-dimensional child takes its kernel by one exchange step
-    (``_exchange_kernel``).  A lower-dimensional child has many left
-    inverses, so it takes its own from ``_integer_kernel``, as an equal fan
-    would.
+    full-dimensional child's entry is (None, c, step), its exchange step
+    (``_exchange_kernel``) deferred until its N is first read
+    (``_forced``): the step needs only the parent's kernel, which stays as
+    it is.  A lower-dimensional child has many left inverses, so it takes
+    its own from ``_integer_kernel``, as an equal fan would.  When w is the
+    last ray, as it always is in ``desingularize``, the child is the cone
+    without ray pos with w appended, already sorted.
     """
     dim = len(rays[w_index])
+    appended = w_index == len(rays) - 1
     for pos, c in enumerate(coords):
         if c > 0:
-            child = tuple(sorted(set(cone) - {cone[pos]} | {w_index}))
+            child = cone[:pos] + cone[pos + 1:] + (w_index,)
+            if not appended:
+                child = tuple(sorted(child))
             if len(cone) < dim:
                 yield child, _integer_kernel([rays[i] for i in child], dim)
             else:
-                yield child, _exchange_kernel(kernel, cone, coords, pos, w_index, child)
+                yield child, (None, c, (kernel, cone, coords, pos, w_index))
 
 
 def _exchange_kernel(kernel, cone: Cone, coords, pos: int, w_index: int, child: Cone):
@@ -515,8 +550,9 @@ def _box_lattice_points(rays: tuple[Vec, ...], kernel) -> set[Vec]:
             if h not in seen:
                 seen.add(h)
                 group.append(h)
+    ray_columns = [*zip(*rays)]
     return {
-        tuple([sum(c * x for c, x in zip(g, column)) // d for column in zip(*rays)])
+        tuple([sum(map(mul, g, column)) // d for column in ray_columns])
         for g in group[1:]
     }
 
@@ -557,19 +593,24 @@ def desingularize(fan: Fan) -> Fan:
     F; w is scored and the fan subdivided on star(F) alone.  w lies in the
     span of every cone of star(F), and its kernel coordinates there are the
     multiplicities of the children, so a candidate's score is its largest
-    coordinate.  One table maps each live cone to its kernel: the input
-    cones' kernels are read once, and each child inherits its kernel from
-    ``_star_children``, the Smith-form one in a lower dimension.  So each
-    target's box is read off the table, and only a new lower-dimensional
-    child takes a Smith form.  A heap keyed by (-d, cone), whose entries
-    for replaced cones are skipped, gives the target.  Rays are only
-    appended, so the table serves every step and then the returned fan,
-    which computes no kernel afresh.
+    coordinate, and the target's coordinates of a candidate serve both its
+    carrier face and its star.  One table maps each live cone to its store
+    entry: the input cones' entries are read once, and each child takes
+    its entry from ``_star_children``, a deferred exchange step in full
+    dimension and the Smith-form kernel in a lower one, so only a new
+    lower-dimensional child takes a Smith form.  A deferred step is taken
+    (``_forced``) only when its cone becomes a target, whose box is read
+    off its N, or enters the star of a scored candidate.  The heap and the
+    returned fan's smoothness read only d, so most children are never
+    forced.  A heap keyed by (-d, cone), whose entries for replaced cones
+    are skipped, gives the target.  Rays are only appended, so the table
+    serves every step and then the returned fan, which computes no kernel
+    afresh.
     """
     dim, rays = fan.dim, fan.rays
-    kernels = {cone: fan.kernel(cone) for cone in fan.max_cones}
-    heap = [(-d, cone) for cone, (_, d) in kernels.items() if d > 1]
+    heap = [(-d, cone) for cone in fan.max_cones if (d := fan.multiplicity(cone)) > 1]
     heapq.heapify(heap)
+    kernels = {cone: fan._kernels[cone] for cone in fan.max_cones}
     holders: dict[int, set[Cone]] = {}
     for cone in kernels:
         for i in cone:
@@ -592,29 +633,34 @@ def desingularize(fan: Fan) -> Fan:
         w_index = len(rays)
         target = heapq.heappop(heap)[1]
 
-        def scored(w):
-            cones = _carrier_star(holders, target, _row_products(kernels[target][0], w))
-            star = {cone: _row_products(kernels[cone][0], w) for cone in cones}
-            return max(map(max, star.values())), w, star
-
         if kernels[target][1] > BOX_POINT_BUDGET:
             raise DesingularizationBudgetError(
                 f"desingularization target {target} has multiplicity "
                 f"{kernels[target][1]}, over the budget BOX_POINT_BUDGET = {BOX_POINT_BUDGET}"
             )
-        box = _box_lattice_points(tuple(rays[i] for i in target), kernels[target])
-        candidates = sorted({primitive(p) for p in box})
+        kernel = _forced(kernels, target)
+
+        def scored(w):
+            at_target = _row_products(kernel[0], w)
+            star = {
+                cone: at_target if cone == target else _row_products(_forced(kernels, cone)[0], w)
+                for cone in _carrier_star(holders, target, at_target)
+            }
+            return max(map(max, star.values())), w, star
+
+        box = _box_lattice_points(tuple(rays[i] for i in target), kernel)
+        candidates = sorted({tuple([x // g for x in p]) for p in box for g in [gcd(*p)]})
         _, w, star = min(map(scored, candidates))
         rays += (w,)
         for cone, coords in star.items():
             for i in cone:
                 holders[i].discard(cone)
-            for child, kernel in _star_children(rays, cone, coords, kernels.pop(cone), w_index):
-                kernels[child] = kernel
+            for child, entry in _star_children(rays, cone, coords, kernels.pop(cone), w_index):
+                kernels[child] = entry
                 for i in child:
                     holders.setdefault(i, set()).add(child)
-                if kernel[1] > 1:
-                    heapq.heappush(heap, (-kernel[1], child))
+                if entry[1] > 1:
+                    heapq.heappush(heap, (-entry[1], child))
 
 
 def is_toric_morphism(hom: LatticeHom, src: Fan, dst: Fan) -> bool:

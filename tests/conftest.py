@@ -635,3 +635,18 @@ def smith_calls(monkeypatch):
 
     monkeypatch.setattr(fans, "smith_normal_form", counting)
     return calls
+
+
+@pytest.fixture
+def exchange_calls(monkeypatch):
+    """The child cones ``fans`` passes to ``_exchange_kernel`` from now on,
+    one per exchange step, deferred or not."""
+    calls = []
+    step = fans._exchange_kernel
+
+    def counting(kernel, cone, coords, pos, w_index, child):
+        calls.append(child)
+        return step(kernel, cone, coords, pos, w_index, child)
+
+    monkeypatch.setattr(fans, "_exchange_kernel", counting)
+    return calls

@@ -400,19 +400,35 @@ class TestKernelStore:
         assert fans.is_smooth(smooth)
         assert inverse_calls == []
 
+    @pytest.mark.parametrize(("n", "steps"), [(2, 5), (3, 11), (5, 65)])
+    def test_desingularize_exchanges_only_what_it_reads(
+        self, n, steps, exchange_calls, inverse_calls
+    ):
+        # The n input cones past the first, then each target and each cone
+        # of a scored star: the children nothing reads keep their steps
+        # deferred, and the multiplicities read none of them.
+        smooth = fans.desingularize(cyclic_quotient_fans(n)[1])
+        assert len(exchange_calls) == steps and len(inverse_calls) == 1
+        exchange_calls.clear()
+        inverse_calls.clear()
+        assert fans.is_smooth(smooth)
+        assert {cone_multiplicity(smooth, cone) for cone in smooth.max_cones} == {1}
+        assert exchange_calls == [] and inverse_calls == []
+
     def test_desingularize_hands_its_kernels_on(self, inverse_calls):
         # P(1, 1, 2): cone 0 2 has multiplicity 2 and is replaced by two
         # children; the other two are smooth and survive the subdivision.
         weighted = fans.make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
         smooth = fans.desingularize(weighted)
         assert len(smooth.rays) == 4
-        stored = dict(smooth._kernels)
         # Exactly the cones of the result are kept, each under its own key.
-        assert set(stored) == set(smooth.max_cones) == {(0, 1), (1, 2), (0, 3), (2, 3)}
-        for cone, kernel in stored.items():
-            assert kernel == rational_inverse(transpose([smooth.rays[i] for i in cone]))
+        assert set(smooth._kernels) == set(smooth.max_cones) == {(0, 1), (1, 2), (0, 3), (2, 3)}
         inverse_calls.clear()
         assert fans.is_smooth(smooth) and fans.is_smooth(smooth)
+        for cone in smooth.max_cones:
+            assert smooth.kernel(cone) == rational_inverse(
+                transpose([smooth.rays[i] for i in cone])
+            )
         assert inverse_calls == []
 
 

@@ -34,7 +34,7 @@ from quasilines.fans import (
     stellar_subdivide,
     validate_fan,
 )
-from quasilines.lattice import mat_vec, primitive
+from quasilines.lattice import mat_vec, primitive, rational_inverse, transpose
 from quasilines.report import parse
 from test_cli import LOWER_DIM_FAN_DOC
 
@@ -512,12 +512,52 @@ class TestInheritedKernels:
         for result in steps + [desingularize(fan)]:
             fresh = Fan(result.dim, result.rays, result.max_cones)
             for cone in result.max_cones:
-                inv, d = result._kernels[cone]
+                inv, d = result.kernel(cone)
                 for row, i in zip(inv, cone):
                     assert [sum(x * y for x, y in zip(row, result.rays[j])) for j in cone] == [
                         d * (j == i) for j in cone
                     ]
                 assert (inv, d) == fresh.kernel(cone)
+
+
+def forced_against_fresh(result):
+    """Read every cone of ``result`` by ``Fan.multiplicity`` and then by
+    ``Fan.kernel``, against a fresh equal fan; the number of cones that held
+    a deferred step."""
+    fresh = Fan(result.dim, result.rays, result.max_cones)
+    deferred = 0
+    for cone in result.max_cones:
+        was_deferred = result._kernels[cone][0] is None
+        d = result.multiplicity(cone)
+        # The multiplicity takes no step.
+        assert (result._kernels[cone][0] is None) == was_deferred
+        kernel = result.kernel(cone)
+        assert kernel == fresh.kernel(cone) and d == kernel[1]
+        if len(cone) == result.dim:
+            assert kernel == rational_inverse(transpose([result.rays[i] for i in cone]))
+        # The step is taken in place, once.
+        assert result._kernels[cone] is kernel and result.kernel(cone) is kernel
+        deferred += was_deferred
+    return deferred
+
+
+class TestDeferredKernels:
+    """A full-dimensional child keeps its exchange step until its N is read;
+    the N it then builds is the one a fresh fan computes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(subdivisions())
+    def test_on_demand_kernel_is_the_inverse(self, case):
+        fan, steps = case
+        for result in steps + [desingularize(fan)]:
+            forced_against_fresh(result)
+
+    @pytest.mark.parametrize(("n", "cones"), [(2, 9), (3, 24), (4, 105), (5, 180)])
+    def test_quotient_refinements(self, n, cones):
+        # On these fans each cone whose N a step reads is then subdivided,
+        # so every cone of the result still holds its deferred step.
+        smooth = desingularize(cyclic_quotient_fans(n)[1])
+        assert len(smooth.max_cones) == forced_against_fresh(smooth) == cones
 
 
 class TestSmithCalls:
