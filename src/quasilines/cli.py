@@ -223,7 +223,7 @@ def _load_fan(args) -> tuple[Fan, dict | None]:
     return fan_from_doc(_read_doc(Path(args.divisor).parent / ref)), divisor
 
 
-def _load_values(args, fan: Fan, divisor: dict | None) -> tuple[int, ...]:
+def _load_values(args, divisor: dict | None) -> tuple[int, ...]:
     if args.values is not None:
         values = _parse_int_list(args.values, "--values")
     elif args.divisor is not None:
@@ -234,10 +234,6 @@ def _load_values(args, fan: Fan, divisor: dict | None) -> tuple[int, ...]:
         values = tuple(_as_int(x, "values") for x in _items(divisor["values"]))
     else:
         raise UsageError("provide --values or --divisor")
-    if len(values) != len(fan.rays):
-        raise UsageError(
-            f"{len(values)} values for {len(fan.rays)} rays"
-        )
     return values
 
 
@@ -483,7 +479,7 @@ def _cmd_fan(args) -> tuple[list, int]:
             ("smooth", is_smooth(smooth)),
             ("added-rays", len(smooth.rays) - len(fan.rays)),
         ], 0
-    values = _load_values(args, fan, divisor)
+    values = _load_values(args, divisor)
     psi = SupportFunction(fan, values)
     entries = [("values", values)]
     if args.subop == "cartier":

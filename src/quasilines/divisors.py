@@ -62,14 +62,18 @@ class LatticePointBudgetError(QuasilinesError):
 
 
 class SupportFunction(Frozen):
-    """One integer value per ray of the fan, value(v_i) = -a_i."""
+    """One integer value per ray of the fan, value(v_i) = -a_i.
+
+    Any other number of values raises ``UsageError`` with the text the
+    command line reports, such as "2 values for 3 rays".
+    """
 
     fan: Fan
     values: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.values) != len(self.fan.rays):
-            raise ValueError("one value per ray is required")
+            raise UsageError(f"{len(self.values)} values for {len(self.fan.rays)} rays")
 
 
 class CartierCertificate(Frozen):

@@ -26,7 +26,7 @@ full-dimensional child gets its multiplicity at once and defers the same
 exchange step until its N is first read, as a desingularization target,
 in a scored star or by ``Fan.kernel``; smoothness and multiplicity read d
 alone (``Fan.multiplicity``).  So the fans that ``stellar_subdivide`` and
-``desingularize`` return hold a kernel or a deferred step for every
+``desingularize`` build hold a kernel or a deferred step for every
 maximal cone and compute none afresh.  The module also builds the fans of
 projective space and of its cyclic quotient of order n+1, together with
 the lattice inclusion realising the quotient map.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import gcd, prod
+from math import prod
 from operator import mul
 
 from .errors import QuasilinesError, UsageError
@@ -73,6 +73,9 @@ class NotMaximalError(UsageError):
 # Largest number of stellar subdivisions one desingularization may run.
 DESINGULARIZATION_STEP_BUDGET = 10_000
 
+# Largest number of cones one desingularization may hold at once.
+DESINGULARIZATION_CONE_BUDGET = 200_000
+
 # Largest multiplicity d of a cone whose box desingularization may list: the
 # box holds d - 1 nonzero lattice points, each scored in turn.
 BOX_POINT_BUDGET = 10_000
@@ -80,8 +83,8 @@ BOX_POINT_BUDGET = 10_000
 
 class DesingularizationBudgetError(QuasilinesError):
     """Desingularization needed more than ``DESINGULARIZATION_STEP_BUDGET``
-    stellar subdivisions, or a target cone's box more than
-    ``BOX_POINT_BUDGET`` points."""
+    stellar subdivisions or ``DESINGULARIZATION_CONE_BUDGET`` cones at
+    once, or a target cone's box more than ``BOX_POINT_BUDGET`` points."""
 
 
 # Largest number of cone pairs one pairwise fan validation may test.
@@ -103,7 +106,7 @@ class Fan(Frozen):
     the position of the ray opposite the facet.  It is built once, at the
     first kernel miss on a full-dimensional cone or the first completeness
     certificate, and both read it; a fan that ``stellar_subdivide`` or
-    ``desingularize`` returns holds a kernel or a deferred step for every
+    ``desingularize`` builds holds a kernel or a deferred step for every
     maximal cone, so it builds the table only if validated.  Store and
     table are set at construction, and are not fields: neither is built
     from, shown or compared.
@@ -437,40 +440,37 @@ def validate_fan(fan: Fan) -> ValidationReport:
 def stellar_subdivide(fan: Fan, w: Vec) -> Fan:
     """Star subdivision of ``fan`` at the primitive lattice point ``w``.
 
-    Every maximal cone containing ``w``, found by scanning every cone, is
-    replaced by the joins of ``w`` with its facets not containing ``w``;
-    cones away from ``w`` survive unchanged.  The new fan's store holds an
-    entry for every maximal cone: the survivors' entries as ``fan`` stores
-    them and those of ``_star_children`` for the joins.  Subdividing at an
-    existing ray returns an equal fan.
+    ``fan`` must be valid (see ``validate_fan``), as for ``desingularize``.
+    At a ray of ``fan`` the subdivision changes nothing, and ``fan`` itself
+    is returned.  Otherwise every maximal cone containing ``w``, found by
+    ``cone_contains`` on every cone, is replaced by the joins of ``w`` with
+    its facets not containing ``w``, and ``w`` is appended to the rays;
+    cones away from ``w`` survive unchanged, and coordinates of ``w`` are
+    computed only in the cones that contain it.  The new fan's store holds
+    an entry for every maximal cone: the survivors' entries as ``fan``
+    stores them and those of ``_star_children`` for the joins.
     """
     w = tuple(int(x) for x in w)
     if all(x == 0 for x in w):
         raise ValueError("cannot subdivide at the zero vector")
     if primitive(w) != w:
         raise ValueError("subdivision point must be primitive")
-    hit = {cone: cone_coordinates(fan, cone, w) for cone in fan.max_cones}
-    star = {
-        cone: coords for cone, coords in hit.items()
-        if coords is not None and all(c >= 0 for c in coords)
-    }
+    if w in fan.rays:
+        return fan
+    star = {cone: cone_coordinates(fan, cone, w)
+            for cone in fan.max_cones if cone_contains(fan, cone, w)}
     if not star:
         raise OutsideSupportError(f"{w} lies outside the support of the fan")
-    if w in fan.rays:
-        w_index = fan.rays.index(w)
-        new_rays = fan.rays
-    else:
-        w_index = len(fan.rays)
-        new_rays = fan.rays + (w,)
+    new_rays = fan.rays + (w,)
     kernels = {cone: fan._kernels[cone] for cone in fan.max_cones if cone not in star}
     for cone, coords in star.items():
-        kernels.update(_star_children(new_rays, cone, coords, fan._kernels[cone], w_index))
+        kernels.update(_star_children(new_rays, cone, coords, fan._kernels[cone]))
     return _sharing_kernels(Fan(fan.dim, new_rays, tuple(sorted(kernels))), kernels)
 
 
-def _star_children(rays, cone: Cone, coords, kernel, w_index: int):
+def _star_children(rays, cone: Cone, coords, kernel):
     """The cones, each with its store entry, that replace ``cone`` when a
-    stellar subdivision adds the lattice point w = ``rays[w_index]``.
+    stellar subdivision adds the lattice point w, the last of ``rays``.
 
     ``coords`` = N w are the kernel coordinates of w in ``cone``, all
     nonnegative, where ``kernel`` = (N, d).  The join of w with the facet
@@ -481,17 +481,15 @@ def _star_children(rays, cone: Cone, coords, kernel, w_index: int):
     (``_exchange_kernel``) deferred until its N is first read
     (``_forced``): the step needs only the parent's kernel, which stays as
     it is.  A lower-dimensional child has many left inverses, so it takes
-    its own from ``_integer_kernel``, as an equal fan would.  When w is the
-    last ray, as it always is in ``desingularize``, the child is the cone
-    without ray pos with w appended, already sorted.
+    its own from ``_integer_kernel``, as an equal fan would.  Since w has
+    the largest index, the child is the cone without ray pos with w
+    appended, already sorted.
     """
+    w_index = len(rays) - 1
     dim = len(rays[w_index])
-    appended = w_index == len(rays) - 1
     for pos, c in enumerate(coords):
         if c > 0:
             child = cone[:pos] + cone[pos + 1:] + (w_index,)
-            if not appended:
-                child = tuple(sorted(child))
             if len(cone) < dim:
                 yield child, _integer_kernel([rays[i] for i in child], dim)
             else:
@@ -580,10 +578,11 @@ def desingularize(fan: Fan) -> Fan:
     creates, ties again lexicographic.  Each child cone has strictly
     smaller multiplicity than its parent, so the procedure terminates; the
     support and the original rays are preserved.  More than
-    ``DESINGULARIZATION_STEP_BUDGET`` subdivisions, or a target of
-    multiplicity over ``BOX_POINT_BUDGET``, raise
-    ``DesingularizationBudgetError``; the box is listed only after that
-    check.  A smooth input is returned as is.
+    ``DESINGULARIZATION_STEP_BUDGET`` subdivisions, more than
+    ``DESINGULARIZATION_CONE_BUDGET`` cones held at once (checked as each
+    child is added), or a target of multiplicity over ``BOX_POINT_BUDGET``,
+    raise ``DesingularizationBudgetError``; a target's box is listed only
+    after its multiplicity is checked.  A smooth input is returned as is.
 
     ``fan`` must be valid (see ``validate_fan``): its cones meet face to
     face, so a candidate w lies in exactly the cones that contain its
@@ -630,7 +629,6 @@ def desingularize(fan: Fan) -> Fan:
                 f"{DESINGULARIZATION_STEP_BUDGET}"
             )
         steps += 1
-        w_index = len(rays)
         target = heapq.heappop(heap)[1]
 
         if kernels[target][1] > BOX_POINT_BUDGET:
@@ -649,14 +647,19 @@ def desingularize(fan: Fan) -> Fan:
             return max(map(max, star.values())), w, star
 
         box = _box_lattice_points(tuple(rays[i] for i in target), kernel)
-        candidates = sorted({tuple([x // g for x in p]) for p in box for g in [gcd(*p)]})
+        candidates = sorted({primitive(p) for p in box})
         _, w, star = min(map(scored, candidates))
         rays += (w,)
         for cone, coords in star.items():
             for i in cone:
                 holders[i].discard(cone)
-            for child, entry in _star_children(rays, cone, coords, kernels.pop(cone), w_index):
+            for child, entry in _star_children(rays, cone, coords, kernels.pop(cone)):
                 kernels[child] = entry
+                if len(kernels) > DESINGULARIZATION_CONE_BUDGET:
+                    raise DesingularizationBudgetError(
+                        f"desingularization holds {len(kernels)} cones, over the budget "
+                        f"DESINGULARIZATION_CONE_BUDGET = {DESINGULARIZATION_CONE_BUDGET}"
+                    )
                 for i in child:
                     holders.setdefault(i, set()).add(child)
                 if entry[1] > 1:

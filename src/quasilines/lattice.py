@@ -153,10 +153,10 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def primitive(v: Vec) -> Vec:
-    """Divide a nonzero integer vector by the gcd of its coordinates."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    """Divide a nonzero integer vector by the gcd of its coordinates,
+    ``math.gcd(*v)``, which is nonnegative and 0 only for the zero or empty
+    vector; those raise ``ZeroVectorError``."""
+    g = gcd(*v)
     if g == 0:
         raise ZeroVectorError("the zero vector has no primitive representative")
     return tuple(x // g for x in v)

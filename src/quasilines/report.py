@@ -26,28 +26,23 @@ class ParseError(UsageError):
 def _render_scalar(value) -> str:
     """One scalar or tuple item as text.
 
-    Exact ints, strings and tuples, nearly every value a report holds, are
-    told by their type alone.  Every other value, bools, Fractions and all
-    subclasses included, takes the isinstance chain, which gives the same
-    text for those three types.
+    Exact ints and strings, nearly every scalar a report holds, are told by
+    their type alone.  Every other value takes one isinstance chain: a
+    tuple of any kind joins its items, a bool is a word, and any other int,
+    string or Fraction is ``str(value)``, so a subclass that keeps its
+    base's ``__str__`` renders as its base type does.
     """
     # isinstance(value, Fraction) is an ABC check, too slow to run on
     # every int; the exact types skip the chain.
     kind = type(value)
     if kind is int or kind is str:
         return str(value)
-    if kind is tuple:
+    if isinstance(value, tuple):
         return " ".join(map(_render_scalar, value))
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, str, Fraction)):
         return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return " ".join(_render_scalar(v) for v in value)
     raise TypeError(f"cannot render {value!r}")
 
 

@@ -465,22 +465,49 @@ class TestFourierMotzkinBudget:
         assert doc["valid"] is True
 
 
+def quotient_fan_file(tmp_path, n):
+    """A fan file holding the quotient fan of P^n."""
+    _, big, _ = fans.cyclic_quotient_fans(n)
+    fan_file = tmp_path / "quotient.txt"
+    fan_file.write_text(
+        f"dim: {n}\nrays:\n"
+        + "".join("- " + " ".join(map(str, ray)) + "\n" for ray in big.rays)
+        + "cones:\n"
+        + "".join("- " + " ".join(map(str, cone)) + "\n" for cone in big.max_cones)
+    )
+    return fan_file
+
+
 class TestDesingularizationBudget:
     def test_exceeded_budget_exits_2(self, tmp_path, monkeypatch):
         # The n = 3 quotient fan needs 10 subdivisions.
         monkeypatch.setattr(fans, "DESINGULARIZATION_STEP_BUDGET", 1)
-        _, big, _ = fans.cyclic_quotient_fans(3)
-        fan_file = tmp_path / "quotient.txt"
-        fan_file.write_text(
-            "dim: 3\nrays:\n"
-            + "".join("- " + " ".join(map(str, ray)) + "\n" for ray in big.rays)
-            + "cones:\n"
-            + "".join("- " + " ".join(map(str, cone)) + "\n" for cone in big.max_cones)
-        )
+        fan_file = quotient_fan_file(tmp_path, 3)
         code, doc, text = structured(["fan", "desingularize", str(fan_file)])
         assert code == 2
         assert doc["error"] == "DesingularizationBudgetError"
         assert "DESINGULARIZATION_STEP_BUDGET = 1\n" in text
+
+    @pytest.mark.parametrize("budget", [4, 23])
+    def test_cone_budget_exits_2(self, tmp_path, monkeypatch, budget):
+        # The n = 3 quotient fan's 4 cones become 24, and every step adds
+        # cones, so the cones held at the end are the most held at once.
+        monkeypatch.setattr(fans, "DESINGULARIZATION_CONE_BUDGET", budget)
+        fan_file = quotient_fan_file(tmp_path, 3)
+        code, doc, text = structured(["fan", "desingularize", str(fan_file)])
+        assert code == 2
+        assert doc["error"] == "DesingularizationBudgetError"
+        assert text.endswith(
+            f"detail: desingularization holds {budget + 1} cones, over the budget "
+            f"DESINGULARIZATION_CONE_BUDGET = {budget}\n"
+        )
+
+    def test_cone_budget_admits_the_refinement_it_equals(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fans, "DESINGULARIZATION_CONE_BUDGET", 24)
+        fan_file = quotient_fan_file(tmp_path, 3)
+        code, doc, _ = structured(["fan", "desingularize", str(fan_file)])
+        assert code == 0
+        assert len(doc["cones"]) == 24
 
     def test_large_box_exits_2_before_listing_it(self, tmp_path):
         # The cone's box holds 99,999 points; listing and scoring them ran

@@ -39,11 +39,24 @@ from quasilines.fans import (
     make_fan,
     stellar_subdivide,
 )
+from quasilines.errors import UsageError
 from quasilines.lattice import dot
 from test_fans import VALID_FANS
 
 P2_FAN = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 P1_FAN = make_fan(1, [(1,), (-1,)], [(0,), (1,)])
+
+
+class TestSupportFunction:
+    @pytest.mark.parametrize("values,message", [
+        ((0, 0), "2 values for 3 rays"),
+        ((0, 0, 0, 0), "4 values for 3 rays"),
+    ])
+    def test_wrong_length_is_a_usage_error_with_the_report_text(self, values, message):
+        # The command line reports this text as it is (test_exit_codes.py).
+        with pytest.raises(UsageError) as caught:
+            SupportFunction(P2_FAN, values)
+        assert str(caught.value) == message
 
 
 class TestCartierCertificate:

@@ -135,6 +135,14 @@ class TestStellarSubdivide:
         fan = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
         assert stellar_subdivide(fan, (1, 1)) == fan
 
+    @pytest.mark.parametrize("fan", [
+        make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+        cyclic_quotient_fans(3)[1],
+    ], ids=["P2", "quotient-3"])
+    def test_existing_ray_returns_the_fan_itself(self, fan):
+        for ray in fan.rays:
+            assert stellar_subdivide(fan, ray) is fan
+
     def test_outside_support(self):
         with pytest.raises(OutsideSupportError):
             stellar_subdivide(PLANE_CONE, (-1, 0))

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,21 @@ class TestPrimitive:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             primitive((0, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-12, 12), max_size=5), st.integers(-10**20, 10**20))
+    def test_matches_the_abs_gcd_loop(self, coords, scale):
+        # Scaled vectors have large common factors; zero coordinates, the
+        # zero vector and the empty vector are all drawn.
+        v = tuple(scale * x for x in coords)
+        g = 0
+        for x in v:
+            g = gcd(g, abs(x))
+        if g == 0:
+            with pytest.raises(ZeroVectorError):
+                primitive(v)
+        else:
+            assert primitive(v) == tuple(x // g for x in v)
 
 
 class TestSolveRationalLinear:

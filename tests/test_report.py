@@ -88,6 +88,30 @@ def test_tuple_subclass_takes_the_isinstance_chain():
     assert render(entries) == "pair: 1 -1/2\nitems:\n- x 1\n" == isinstance_render(entries)
 
 
+class Count(int):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
+# bool cannot be subclassed, so True and False themselves stand for it.
+@pytest.mark.parametrize("value,exact", [
+    (True, True),
+    (False, False),
+    (Count(-7), -7),
+    (Word("x-1"), "x-1"),
+    (Pair((Count(2), Word("y"), Ratio(3, 4))), (2, "y", Fraction(3, 4))),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Ratio(-1, 2), Fraction(-1, 2)),
+], ids=["true", "false", "int", "str", "tuple", "fraction", "fraction-subclass"])
+def test_subclasses_render_as_their_exact_type(value, exact):
+    entries = [("a", value), ("b", [value])]
+    text = render(entries)
+    assert text == render([("a", exact), ("b", [exact])]) == isinstance_render(entries)
+
+
 @pytest.mark.parametrize("value", [0.5, (1, 0.5), [(Fraction(1, 2), (2.0,))]])
 def test_float_is_not_rendered(value):
     with pytest.raises(TypeError):
