@@ -32,7 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1, 2)
 
 DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(\S.*)$")
-SUMMARY = re.compile(r"^=*\s*(\d+ passed.* in ([\d.]+)s.*?)\s*=*$")
+SUMMARY = re.compile(r"^=*\s*(\d+ (?:failed|passed|errors?)\b.* in ([\d.]+)s\b.*?)\s*=*$")
 
 
 def timed_run(seed: int) -> tuple[int, dict[str, float], str, float, float]:
@@ -62,16 +62,15 @@ def timed_run(seed: int) -> tuple[int, dict[str, float], str, float, float]:
 
 def main() -> int:
     runs = [timed_run(seed) for seed in SEEDS]
-    tests = {test for _, times, _, _, _ in runs for test in times}
+    per_seed = [times for _, times, *_ in runs]
+    tests = set().union(*per_seed)
     rows = sorted(
-        (statistics.median(times[test] for _, times, _, _, _ in runs if test in times), test)
-        for test in tests
+        ((statistics.median(t[test] for t in per_seed if test in t), test) for test in tests),
+        reverse=True,
     )
     print(f"median s  per seed {', '.join(map(str, SEEDS))} (s)  test")
-    for median, test in reversed(rows):
-        each = " ".join(
-            f"{times[test]:7.2f}" if test in times else "      -" for _, times, _, _, _ in runs
-        )
+    for median, test in rows:
+        each = " ".join(f"{t[test]:7.2f}" if test in t else "      -" for t in per_seed)
         print(f"{median:8.2f}  {each}  {test}")
     for seed, (status, _, summary, _, wall) in zip(SEEDS, runs):
         print(f"seed {seed}: {summary}; exit status {status}; wall {wall:.1f} s")
